@@ -20,6 +20,7 @@ from .errors import DivergenceError
 from .tableio import format_value, write_text
 
 KERNEL_SIGNS = ("conjugate", "as_printed")
+SPECTRAL_DENSITY_TYPES = ("discrete", "ohmic")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .coupling import (
     theta_from_rates,
     wd_sd_modes,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ExceptionalPointError
 from .fock import (
     DensityMatrix,
     ModeVector,
@@ -45,9 +45,10 @@ from .fock import (
     fock_state,
     mode_population,
     one_photon_state,
+    one_photon_vector,
     purity,
 )
-from .kernel import SpectralDensity, solve_kernel
+from .kernel import SPECTRAL_DENSITY_TYPES, SpectralDensity, solve_kernel
 from .lindblad import (
     build_bm_generator,
     build_realistic_generator,
@@ -62,6 +63,8 @@ from .propagator import (
 from .tableio import render_csv, write_text
 
 MODELS = ("markovian_n", "realistic_two", "nonmarkovian_two")
+
+DEFAULT_MAX_EXCITATION = {"markovian_n": 3, "realistic_two": 1, "nonmarkovian_two": 2}
 
 OBSERVABLE_NAMES = (
     "survival",
@@ -138,6 +141,10 @@ def validate_config(cfg) -> list[str]:
                 errors.append("each sweep axis needs 'parameter' and 'values'")
             elif not isinstance(axis["values"], list) or not axis["values"]:
                 errors.append("sweep values must be a non-empty list")
+            elif not _path_exists(cfg, axis["parameter"]):
+                errors.append(
+                    f"sweep parameter {axis['parameter']!r} names no key of the config"
+                )
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         errors.append("seed must be an integer")
@@ -158,7 +165,54 @@ def validate_config(cfg) -> list[str]:
     if model == "nonmarkovian_two" and isinstance(params, dict):
         if "spectral_density" not in params and "coupling" not in params:
             errors.append("nonmarkovian_two needs params.spectral_density or params.coupling")
+        density = params.get("spectral_density")
+        if density is not None and not (
+            isinstance(density, dict) and density.get("type") in SPECTRAL_DENSITY_TYPES
+        ):
+            errors.append(
+                f"params.spectral_density.type must be one of {SPECTRAL_DENSITY_TYPES}"
+            )
+    if model in MODELS and isinstance(params, dict):
+        max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION[model])
+        if not (_is_int(max_exc) and max_exc >= 1):
+            errors.append("params.max_excitation must be an integer >= 1")
+        elif isinstance(init, dict) and "occupations" in init:
+            errors.extend(
+                _occupation_errors(init["occupations"], _num_modes(model, params), max_exc)
+            )
     return errors
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _num_modes(model, params) -> Optional[int]:
+    if model != "markovian_n":
+        return 2
+    rates = params.get("rates")
+    return len(rates) if isinstance(rates, list) else None
+
+
+def _occupation_errors(occ, modes, max_exc) -> list[str]:
+    if not (isinstance(occ, list) and all(_is_int(n) for n in occ)):
+        return ["initial_state.occupations must be a list of integers"]
+    if modes is not None and len(occ) != modes:
+        return [f"initial_state.occupations needs {modes} entries, got {len(occ)}"]
+    if any(n < 0 or n > max_exc for n in occ):
+        return [f"initial_state.occupations {occ} outside [0, {max_exc}]"]
+    return []
+
+
+def _path_exists(cfg: dict, dotted) -> bool:
+    if not isinstance(dotted, str):
+        return False
+    node = cfg
+    for key in dotted.split("."):
+        if not isinstance(node, dict) or key not in node:
+            return False
+        node = node[key]
+    return True
 
 
 def load_config(path) -> dict:
@@ -216,6 +270,7 @@ class _Run:
         self.eigen = None
         self.mode_split = None
         self.asymptotic = None
+        self.analytic_skipped_reason = None
         self.kernel_solution = None
         self.extras = {}
 
@@ -230,7 +285,7 @@ def _initial_state(cfg, spec, theta) -> tuple[DensityMatrix, Optional[tuple]]:
             raise ConfigError(["alpha/phi initial states need exactly two modes"])
         return one_photon_state(ModeVector.from_angles(alpha, phi), spec), (alpha, phi)
     if "occupations" in init:
-        occ = tuple(int(n) for n in init["occupations"])
+        occ = tuple(init["occupations"])
         state = fock_state(spec, occ)
         angles = None
         if spec.num_modes == 2 and sum(occ) == 1:
@@ -253,22 +308,20 @@ def _as_complex(value) -> complex:
 def _observable_columns(names, states, ctx) -> dict:
     columns = {}
     spec = ctx["spec"]
-    occupations = spec.occupations()
-    totals = occupations.sum(axis=1)
-    one_photon_idx = np.where(totals == 1)[0]
+    stack = np.array([s.matrix for s in states])
+    populations = np.einsum("nii->ni", stack).real
+    one_photon = spec.occupations().sum(axis=1) == 1
     vac_idx = spec.index_of((0,) * spec.num_modes)
+
+    def mode_column(mode):
+        psi = one_photon_vector(spec, mode)
+        return np.einsum("i,nij,j->n", psi.conj(), stack, psi).real
+
     for name in names:
         if name == "survival":
-            columns[name] = np.array(
-                [
-                    float(np.real(np.sum(np.diag(s.matrix)[one_photon_idx])))
-                    for s in states
-                ]
-            )
+            columns[name] = populations[:, one_photon].sum(axis=1)
         elif name == "vacuum_population":
-            columns[name] = np.array(
-                [float(np.real(s.matrix[vac_idx, vac_idx])) for s in states]
-            )
+            columns[name] = populations[:, vac_idx]
         elif name == "purity":
             columns[name] = np.array([purity(s) for s in states])
         elif name == "fidelity_to_initial":
@@ -280,21 +333,20 @@ def _observable_columns(names, states, ctx) -> dict:
             mode = ctx.get("collective_mode")
             if mode is None:
                 raise ConfigError(["collective_population has no mode direction here"])
-            columns[name] = np.array([mode_population(s, mode) for s in states])
+            columns[name] = mode_column(mode)
         elif name in ("weak_population", "strong_population"):
             key = "weak_mode" if name == "weak_population" else "strong_mode"
             mode = ctx.get(key)
             if mode is None:
                 raise ConfigError([f"{name} requires a two-mode rate model"])
-            columns[name] = np.array([mode_population(s, mode) for s in states])
+            columns[name] = mode_column(mode)
         elif name in ("mode1_population", "mode2_population"):
             idx = 0 if name == "mode1_population" else 1
             if spec.num_modes <= idx:
                 raise ConfigError([f"{name} needs at least {idx + 1} modes"])
             amps = np.zeros(spec.num_modes)
             amps[idx] = 1.0
-            mode = ModeVector(amps.astype(complex))
-            columns[name] = np.array([mode_population(s, mode) for s in states])
+            columns[name] = mode_column(ModeVector(amps.astype(complex)))
         else:
             raise ConfigError([f"unknown observable {name!r}"])
     return columns
@@ -337,7 +389,7 @@ def _execute_markovian(cfg) -> _Run:
     rates = tuple(float(k) for k in params["rates"])
     omega = float(params.get("omega", 1.0))
     nbar = float(params.get("nbar", 0.0))
-    max_exc = int(params.get("max_excitation", 3))
+    max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION["markovian_n"])
     spec = TruncationSpec(len(rates), max_exc)
     model = RateModel(rates, thermal_occupation=nbar)
     gen = build_bm_generator(model, spec, omega=omega)
@@ -418,7 +470,7 @@ def _execute_realistic(cfg) -> _Run:
         omega = float(params.get("omega", 1.0))
         split = float(params.get("delta_omega", 0.0))
         omega1, omega2 = omega - split, omega + split
-    max_exc = int(params.get("max_excitation", 1))
+    max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION["realistic_two"])
     spec = TruncationSpec(2, max_exc)
     model = RateModel((k1, k2), cross_rate=k3)
     gen = build_realistic_generator(
@@ -451,8 +503,6 @@ def _execute_realistic(cfg) -> _Run:
 
     pred = predicted_rates(k1, k2, deviation.rate_gap)
     run.predicted = {"weak": pred.weak, "strong": pred.strong}
-    rates_exact = realistic.eigen_rates(k1, k2, k3, omega1, omega2)
-    run.eigen = {"slow": rates_exact.slow, "fast": rates_exact.fast}
 
     fit_cfg = cfg.get("fit", {})
     weak_window = fit_cfg.get(
@@ -474,18 +524,28 @@ def _execute_realistic(cfg) -> _Run:
         if fit:
             run.fitted["survival"] = fit
 
+    # The closed forms divide by the eigenvalue splitting of the amplitude
+    # generator; at an exceptional point they are skipped, not the run.
+    try:
+        rates_exact = realistic.eigen_rates(k1, k2, k3, omega1, omega2)
+        if angles is not None:
+            alpha, phi = angles
+            sol = realistic.one_photon_evolution(
+                k1, k2, k3, omega1, omega2, alpha, phi, times
+            )
+            mode_split = realistic.approximate_mode_split(
+                k1, k2, deviation.rate_gap, deviation.frequency_split, alpha, phi
+            )
+    except ExceptionalPointError as exc:
+        run.analytic_skipped_reason = str(exc)
+        return run
+    run.eigen = {"slow": rates_exact.slow, "fast": rates_exact.fast}
     if angles is not None:
-        alpha, phi = angles
-        sol = realistic.one_photon_evolution(
-            k1, k2, k3, omega1, omega2, alpha, phi, times
-        )
         run.analytic_deviation = max(
             float(np.max(np.abs(sol.state(i, spec).matrix - run.result.states[i].matrix)))
             for i in range(len(times))
         )
-        run.mode_split = realistic.approximate_mode_split(
-            k1, k2, deviation.rate_gap, deviation.frequency_split, alpha, phi
-        ).to_json_dict()
+        run.mode_split = mode_split.to_json_dict()
     return run
 
 
@@ -526,7 +586,7 @@ def _execute_nonmarkovian(cfg) -> _Run:
         substeps=int(params.get("kernel_substeps", 1)),
     )
 
-    max_exc = int(params.get("max_excitation", 2))
+    max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION["nonmarkovian_two"])
     spec = TruncationSpec(2, max_exc)
     gen = build_time_dependent_generator(
         solution, spec, collective_direction=direction
@@ -615,6 +675,7 @@ def run_scenario(cfg, out_dir: Optional[str] = None) -> dict:
 
 def _assemble_report(cfg, run: _Run, elapsed: float) -> dict:
     diag = {
+        "engine": run.result.engine,
         "max_trace_error": float(np.max(run.result.trace_errors)),
         "min_eigenvalue": float(np.min(run.result.min_eigenvalues)),
     }
@@ -637,19 +698,23 @@ def _assemble_report(cfg, run: _Run, elapsed: float) -> dict:
         report["eigen_rates"] = run.eigen
     if run.mode_split is not None:
         report["mode_split"] = run.mode_split
+    if run.analytic_skipped_reason is not None:
+        report["analytic_skipped_reason"] = run.analytic_skipped_reason
+        report["eigen_rates"] = None
+        report["mode_split"] = None
     if run.extras:
         report["extras"] = run.extras
     return report
 
 
 def _set_path(cfg: dict, dotted: str, value):
-    keys = dotted.split(".")
+    """Replace the value at an existing dotted path (``validate_config``
+    rejects sweeps over paths the config does not have)."""
+    *parents, last = dotted.split(".")
     node = cfg
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            node[key] = {}
+    for key in parents:
         node = node[key]
-    node[keys[-1]] = value
+    node[last] = value
 
 
 def run_sweep(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsim.coupling import RateModel
 from dfsim.errors import (
@@ -23,15 +25,18 @@ from dfsim.fock import (
 )
 from dfsim.kernel import MemoryKernelSolution
 from dfsim.lindblad import (
+    EXACT_MAX_DIM,
     LindbladGenerator,
+    _expm,
     build_bm_generator,
     build_realistic_generator,
     build_time_dependent_generator,
     propagate,
     steady_state,
 )
+from dfsim.propagator import apply_superoperator, markov_coefficients
 from dfsim.realistic import fit_decay_rate
-from _support import random_hermitian_unit_trace
+from _support import random_density_matrix, random_hermitian_unit_trace
 
 SPEC2 = TruncationSpec(2, 2)
 
@@ -345,3 +350,127 @@ def test_propagation_csv_format():
     assert lines[0] == "time,trace_error,min_eig,population"
     assert "0.66666666666666663" in lines[2]  # 17 significant digits
     assert text.endswith("\n") and "\r" not in text
+
+
+# -- exact engine --------------------------------------------------------------
+
+
+def test_expm_zero_and_diagonal():
+    assert np.max(np.abs(_expm(np.zeros((4, 4), dtype=complex)) - np.eye(4))) < 1e-15
+    # |-40 - 7i| is above the unscaled range, so this also takes squarings
+    entries = np.array([-3.0, 0.5 + 2.0j, 1e-3, -40.0 - 7.0j])
+    out = _expm(np.diag(entries))
+    assert np.allclose(out, np.diag(np.exp(entries)), rtol=1e-13, atol=1e-15)
+
+
+def test_expm_nilpotent_jordan_block():
+    block = np.diag([1.0, 1.0], 1).astype(complex)
+    expected = np.eye(3) + block + block @ block / 2.0
+    assert np.max(np.abs(_expm(block) - expected)) < 1e-15
+
+
+def test_expm_large_skew_hermitian_stays_unitary():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    herm = 0.5 * (a + a.conj().T)
+    herm *= 1e3 / np.linalg.norm(herm, 2)
+    unitary = _expm(1j * herm)
+    assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(8))) < 1e-12
+
+
+def test_exact_engine_matches_rk4_thermal():
+    spec = TruncationSpec(2, 3)
+    gen = build_bm_generator(
+        RateModel((0.8, 1.2), thermal_occupation=0.3), spec, omega=1.0
+    )
+    rho0 = one_photon_state(ModeVector.from_angles(0.4, 0.2), spec)
+    # equal intervals share one propagator; the last two need their own
+    times = np.concatenate([np.linspace(0.0, 0.1, 6), [0.13, 0.2]])
+    exact = propagate(gen, rho0, times)
+    rk4 = propagate(gen, rho0, times, max_step=1e-4)
+    assert (exact.engine, rk4.engine) == ("exact", "rk4")
+    for a, b in zip(exact.states, rk4.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
+
+
+def test_exact_engine_matches_closed_form_map():
+    # zero temperature and one photon: the truncated space holds the
+    # closed-form map exactly (at finite temperature the map itself spills
+    # past max_excitation 3)
+    k1, k2, omega = 1.0, 0.5, 1.0
+    spec = TruncationSpec(2, 3)
+    gen = build_bm_generator(RateModel((k1, k2)), spec, omega=omega)
+    rho0 = one_photon_state(ModeVector.from_angles(0.6, 0.3), spec)
+    times = np.linspace(0.0, 10.0, 26)
+    res = propagate(gen, rho0, times)
+    assert res.engine == "exact"
+    for t, state in zip(times, res.states):
+        analytic = apply_superoperator(markov_coefficients(k1, k2, 0.0, omega, t), rho0)
+        assert np.max(np.abs(analytic.matrix - state.matrix)) < 1e-10
+
+
+def test_exact_engine_divergence_detected():
+    # the same negative-rate channel as the RK4 case above, on the exact path
+    spec = TruncationSpec(1, 1)
+    gen = LindbladGenerator(
+        spec,
+        np.zeros((spec.dim, spec.dim)),
+        (ladder_operator(spec, 0),),
+        np.array([[-5.0]], dtype=complex),
+    )
+    with pytest.raises(DivergenceError) as info:
+        propagate(gen, fock_state(spec, (1,)), np.linspace(0, 100.0, 11))
+    assert info.value.time is not None
+    assert np.all(np.isnan(_expm(np.array([[np.inf]], dtype=complex))))
+
+
+def test_engine_selection():
+    spec = TruncationSpec(1, 2)
+    gen = build_bm_generator(RateModel((1.0,)), spec, omega=1.0)
+    rho0 = fock_state(spec, (1,))
+    times = np.linspace(0.0, 0.2, 3)
+    assert propagate(gen, rho0, times).engine == "exact"
+    assert propagate(gen, rho0, times, max_step=1e-3).engine == "rk4"
+    assert propagate(gen, rho0, times, richardson=True).engine == "rk4"
+    assert propagate(gen, rho0, times, renormalize=True).engine == "rk4"
+
+    kernel = MemoryKernelSolution(
+        times=np.linspace(0, 1, 11),
+        amplitude=np.exp(-np.linspace(0, 1, 11)),
+        omega=1.0,
+        damping=np.ones(11),
+        frequency_shift=np.zeros(11),
+    )
+    td = build_time_dependent_generator(kernel, spec)
+    assert propagate(td, rho0, times).engine == "rk4"
+
+    for levels, engine in ((EXACT_MAX_DIM, "exact"), (EXACT_MAX_DIM + 1, "rk4")):
+        wide = TruncationSpec(1, levels - 1)
+        gen = build_bm_generator(RateModel((1.0,)), wide, omega=1.0)
+        res = propagate(gen, fock_state(wide, (1,)), np.linspace(0.0, 0.01, 2))
+        assert res.engine == engine
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k1=st.floats(0.05, 2.0),
+    k2=st.floats(0.05, 2.0),
+    cross=st.floats(0.0, 0.999),
+    cross_phase=st.floats(0.0, 2.0 * np.pi),
+    split=st.floats(-1.0, 1.0),
+    t_max=st.floats(0.1, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_engine_states_stay_physical(k1, k2, cross, cross_phase, split, t_max, seed):
+    k3 = cross * np.sqrt(k1 * k2) * np.exp(1j * cross_phase)
+    spec = TruncationSpec(2, 2)
+    gen = build_realistic_generator(
+        RateModel((k1, k2), cross_rate=k3), 1.0 - split, 1.0 + split, spec
+    )
+    rho0 = random_density_matrix(np.random.default_rng(seed), spec)
+    res = propagate(gen, rho0, np.linspace(0.0, t_max, 6))
+    assert res.engine == "exact"
+    for state in res.states:
+        assert state.hermiticity_defect() < 1e-12
+        assert state.trace_error() < 1e-12
+    assert np.min(res.min_eigenvalues) >= -1e-10

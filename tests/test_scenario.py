@@ -269,3 +269,92 @@ def test_report_headers_and_precision(tmp_path):
         header = fh.readline().strip().split(",")
     assert header[:3] == ["time", "trace_error", "min_eig"]
     assert "survival" in header
+
+
+def test_report_names_the_engine():
+    assert run_scenario(base_markovian())["diagnostics"]["engine"] == "exact"
+    cfg = base_markovian(time={"t_max": 0.5, "steps": 6, "max_step": 1e-3})
+    assert run_scenario(cfg)["diagnostics"]["engine"] == "rk4"
+
+
+def test_sweep_summary_same_bytes_for_any_jobs(tmp_path):
+    cfg = base_markovian(time={"t_max": 4.0, "steps": 9})
+    cfg["sweep"] = {"parameter": "initial_state.alpha", "values": [0.0, 0.4, 0.8, 1.2]}
+    run_sweep(cfg, str(tmp_path / "one"), jobs=1)
+    run_sweep(cfg, str(tmp_path / "two"), jobs=2)
+    summary = "sweep_summary.csv"
+    assert (tmp_path / "one" / summary).read_bytes() == (tmp_path / "two" / summary).read_bytes()
+
+
+def _occupations_out_of_range():
+    return base_markovian(
+        params={"rates": [1.0, 0.5], "omega": 1.0, "max_excitation": 2},
+        initial_state={"occupations": [5, 0]},
+    )
+
+
+def _unknown_spectral_density():
+    return {
+        "model": "nonmarkovian_two",
+        "params": {
+            "spectral_density": {"type": "lorentzian", "amplitude": 0.1},
+            "kernel_points": 101,
+        },
+        "initial_state": {"occupations": [1, 0]},
+        "time": {"t_max": 1.0, "steps": 11},
+    }
+
+
+def _fractional_max_excitation():
+    return base_markovian(
+        params={"rates": [1.0, 0.5], "omega": 1.0, "max_excitation": 2.5}
+    )
+
+
+def _sweep_over_missing_key():
+    cfg = base_markovian()
+    cfg["sweep"] = {"parameter": "params.delta_kk", "values": [0.1, 0.2]}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_occupations_out_of_range, "occupations"),
+        (_unknown_spectral_density, "spectral_density.type"),
+        (_fractional_max_excitation, "max_excitation"),
+        (_sweep_over_missing_key, "params.delta_kk"),
+    ],
+    ids=["occupations", "spectral_density", "max_excitation", "sweep_path"],
+)
+def test_config_defects_exit_2(tmp_path, capsys, build, message):
+    cfg = build()
+    assert any(message in err for err in validate_config(cfg))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    assert cli_main(["validate", str(path)]) == 2
+    assert cli_main(["run", str(path), "--out", out]) == 2
+    assert cli_main(["sweep", str(path), "--out", out]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_realistic_exceptional_point_runs(tmp_path, capsys):
+    # k1 = 1, k2 = 3, k3 = i: the amplitude generator is defective, so the
+    # closed forms are skipped while the numeric run goes ahead
+    cfg = {
+        "model": "realistic_two",
+        "params": {"k1": 1.0, "k2": 3.0, "k3": [0.0, 1.0]},
+        "initial_state": {"alpha": 0.3, "phi": 0.0},
+        "time": {"t_max": 1.0, "steps": 11},
+        "seed": 0,
+    }
+    path = tmp_path / "exceptional.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["analytic_skipped_reason"]
+    assert report["eigen_rates"] is None
+    assert report["mode_split"] is None
+    assert report["analytic_numeric_max_deviation"] is None
+    assert report["diagnostics"]["max_trace_error"] < 1e-12
