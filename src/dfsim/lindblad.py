@@ -516,19 +516,24 @@ def propagate(
             target = 0.8 * STEP_GUARD / norm if norm > 0 else math.inf
         stepper = _rk4_samples(generator, rho, times, target, richardson, renormalize)
 
-    samples = [rho]
+    stack = np.empty((times.size,) + rho.shape, dtype=complex)
+    stack[0] = rho
     with np.errstate(over="ignore", invalid="ignore"):
-        for t1, state in zip(times[1:], stepper):
+        for n, state in enumerate(stepper, start=1):
             if not np.all(np.isfinite(state)):
+                t1 = times[n]
                 raise DivergenceError(f"non-finite state at t = {t1}", time=t1)
-            samples.append(state)
-    stack = np.array(samples)
-    hermitian = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+            stack[n] = state
+    states = tuple(DensityMatrix.unchecked(rho0.spec, m) for m in stack)
+    trace_errors = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    # the states hold copies, so the stack becomes the Hermitian parts in place
+    stack += stack.conj().transpose(0, 2, 1)
+    stack *= 0.5
     return PropagationResult(
         times=times,
-        states=tuple(DensityMatrix.unchecked(rho0.spec, m) for m in stack),
-        trace_errors=np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0),
-        min_eigenvalues=np.linalg.eigvalsh(hermitian)[:, 0],
+        states=states,
+        trace_errors=trace_errors,
+        min_eigenvalues=np.linalg.eigvalsh(stack)[:, 0],
         engine="exact" if exact else "rk4",
     )
 
