@@ -10,13 +10,18 @@ with a Hermitian coefficient block ``gamma``.  In this convention a single
 damped mode with rate k loses population at 2k.  Everything is dense: the
 spaces this package targets stay below a few hundred dimensions.
 
-``propagate`` picks its engine from the generator.  A constant generator on
-at most ``EXACT_MAX_DIM`` states is advanced exactly: one ``exp(L dt)`` of
-the d^2 x d^2 superoperator per distinct sample interval, one matrix-vector
-product per sample.  Above that size the superoperator (d^4 entries) costs
-more than it saves, so the engine is fixed-step RK4, as it is for
-time-dependent generators and whenever the caller sets ``max_step``,
-``richardson`` or ``renormalize``.
+``propagate`` picks its engine from the generator.  A constant generator is
+advanced exactly when its occupied blocks fit ``EXACT_MAX_ENTRIES``.  Every
+generator built here conserves k = N_ket - N_bra, the difference of total
+excitation numbers on the two sides of rho (Buca & Prosen, New J. Phys. 14,
+073007 (2012)), so its superoperator is block diagonal over k and only the
+blocks on which rho(0) has support are needed: one ``exp(L_k dt)`` per
+occupied block and distinct sample interval, one matrix-vector product per
+block and sample.  A generator that does not conserve k is one block, the
+whole d^2-entry space.  When the blocks hold more than ``EXACT_MAX_ENTRIES``
+entries in all, the exponentials cost more than they save, so the engine is
+fixed-step RK4, as it is for time-dependent generators and whenever the
+caller sets ``max_step``, ``richardson`` or ``renormalize``.
 """
 
 from __future__ import annotations
@@ -44,24 +49,15 @@ from .tableio import format_value, write_text
 
 STEP_GUARD = 0.1
 
-# Largest Hilbert-space dimension for the exact engine: its superoperator
-# holds d^4 complex entries, 5.3 MB at d = 24 against 92 MB at d = 49.
-EXACT_MAX_DIM = 24
+# Budget of the exact engine: the exponentiated blocks may hold at most this
+# many complex entries in all (5.3 MB each), the size of a whole d = 24
+# superoperator.  A one-photon input at d = 49 occupies one 231-entry block
+# (53361 entries) where the whole superoperator would need 92 MB.
+EXACT_MAX_ENTRIES = 24**4
 
 # Intervals whose lengths agree to this relative tolerance share one
 # propagator, so a linspace grid needs a single exponential.
 _SPAN_RTOL = 1e-12
-
-# Numerator coefficients of the [13/13] Pade approximant to exp and the
-# largest 1-norm it handles unscaled (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 1179 (2005), Table 2.3 and Algorithm 2.3).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-    16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -137,15 +133,28 @@ class LindbladGenerator:
             out = out - (sink @ rho + rho @ sink)
         return out
 
-    def to_matrix(self, t: float = 0.0) -> np.ndarray:
-        """Dense superoperator on row-major vectorized density matrices."""
+    def to_matrix(self, t: float = 0.0, indices=None) -> np.ndarray:
+        """Dense superoperator on row-major vectorized density matrices.
+
+        With ``indices`` (positions in ``rho.reshape(-1)``) only the block on
+        those entries is built, without forming the d^4 matrix: entry
+        (s, s') of kron(A, B) is A[r, r'] B[c, c'] with (r, c) = divmod(s, d).
+        """
         shift, gamma = self.coefficients(t)
         dim = self.spec.dim
+        if indices is None:
+            indices = np.arange(dim * dim)
+        rows, cols = np.divmod(np.asarray(indices), dim)
+        row_block, col_block = np.ix_(rows, rows), np.ix_(cols, cols)
+
+        def kron(a, b):
+            return a[row_block] * b[col_block]
+
         eye = np.eye(dim)
         ham = self.hamiltonian
         if shift != 0.0 and self.shift_operator is not None:
             ham = ham + shift * self.shift_operator
-        lio = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+        lio = -1j * (kron(ham, eye) - kron(eye, ham.T))
         m = len(self.jump_operators)
         for i in range(m):
             for j in range(m):
@@ -155,8 +164,8 @@ class LindbladGenerator:
                 li = self.jump_operators[i]
                 ldj = self._jump_daggers[j]
                 pij = self._pair_products[i][j]
-                lio = lio + 2.0 * g * np.kron(li, ldj.T)
-                lio = lio - g * (np.kron(pij, eye) + np.kron(eye, pij.T))
+                lio = lio + 2.0 * g * kron(li, ldj.T)
+                lio = lio - g * (kron(pij, eye) + kron(eye, pij.T))
         return lio
 
     def norm_estimate(self) -> float:
@@ -348,7 +357,8 @@ class PropagationResult:
     """Trajectory samples plus per-sample conservation diagnostics.
 
     ``engine`` names the integrator that produced them: ``"exact"`` or
-    ``"rk4"``.
+    ``"rk4"``.  ``sector_sizes`` gives the sizes of the blocks the exact
+    engine exponentiated, largest first; it is empty under RK4.
     """
 
     times: np.ndarray
@@ -356,6 +366,7 @@ class PropagationResult:
     trace_errors: np.ndarray
     min_eigenvalues: np.ndarray
     engine: str
+    sector_sizes: tuple = ()
 
     @property
     def final(self) -> DensityMatrix:
@@ -378,52 +389,102 @@ class PropagationResult:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring with the [13/13] Pade approximant.
+    """exp(a) by scaling and squaring with a Taylor series (Moler & Van Loan,
+    SIAM Rev. 45, 3 (2003)).
 
-    The 1-norm is scaled below ``_THETA13``, where the approximant is exact
-    to double precision, then the result is squared back (Higham 2005,
-    Algorithm 2.3, without its lower-degree shortcuts).  A non-finite input
-    gives a NaN matrix.
+    a is halved s times until its 1-norm x is at most 1, the series is cut
+    at the smallest degree m with x^(m+1)/(m+1)! e^(2x) <= 2^-53 and summed
+    by Horner's rule, and the result is squared s times.  Besides the input
+    it holds three arrays of its size.  A non-finite input gives a NaN
+    matrix.
     """
     norm = float(np.linalg.norm(a, 1))
     if not math.isfinite(norm):
         return np.full(a.shape, np.nan, dtype=complex)
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
-    a = a / 2.0**squarings
-    b = _PADE13
-    ident = np.eye(a.shape[0], dtype=a.dtype)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    out = np.linalg.solve(v - u, v + u)
+    squarings = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
+    x = norm / 2.0**squarings
+    tol = 2.0**-53 * math.exp(-2.0 * x)
+    degree, remainder = 0, x  # remainder = x^(m+1) / (m+1)! at degree m
+    while remainder > tol:
+        degree += 1
+        remainder *= x / (degree + 1)
+    scaled = a / 2.0**squarings
+    out = np.eye(a.shape[0], dtype=complex)
+    work = np.empty_like(out)
+    for j in range(degree, 0, -1):
+        np.matmul(scaled, out, out=work)
+        work /= j
+        work.flat[:: a.shape[0] + 1] += 1.0
+        out, work = work, out
     for _ in range(squarings):
-        out = out @ out
+        np.matmul(out, out, out=work)
+        out, work = work, out
     return out
 
 
-def _exact_samples(generator, rho, times):
-    """Yield the state at each later sample time: one exponential per
-    distinct interval length, one matrix-vector product per sample on the
-    row-major vectorized state."""
-    lio = generator.to_matrix()
-    known = []  # (interval length, propagator)
-    vec = rho.reshape(-1)
+def _charge(op: np.ndarray, number: np.ndarray) -> Optional[int]:
+    """The fixed change of total excitation number that ``op`` makes, or
+    None when its entries make more than one."""
+    rows, cols = np.nonzero(op)
+    steps = np.unique(number[rows] - number[cols])
+    if steps.size > 1:
+        return None
+    return int(steps[0]) if steps.size else 0
+
+
+def _sectors(generator: LindbladGenerator, rho: np.ndarray) -> list:
+    """Index groups of ``rho.reshape(-1)`` that the generator never mixes.
+
+    k = N_ket - N_bra is conserved when the Hamiltonian and the shift
+    operator keep the total excitation number, every jump changes it by a
+    fixed q_i, and every nonzero coefficient pairs jumps with q_i = q_j.
+    Then each k with support in ``rho`` is one group; otherwise, and for a
+    time-dependent generator, whose coefficients are not inspected, the
+    whole space is.
+    """
+    number = generator.spec.occupations().sum(axis=1)
+    charges = [_charge(op, number) for op in generator.jump_operators]
+    conserves = (
+        not generator.is_time_dependent
+        and _charge(generator.hamiltonian, number) == 0
+        and (
+            generator.shift_operator is None
+            or _charge(generator.shift_operator, number) == 0
+        )
+        and None not in charges
+        and all(
+            charges[i] == charges[j]
+            for i, j in zip(*np.nonzero(generator.kossakowski))
+        )
+    )
+    if not conserves:
+        return [np.arange(rho.size)]
+    k = (number[:, None] - number[None, :]).reshape(-1)
+    occupied = np.unique(k[rho.reshape(-1) != 0])
+    return [np.flatnonzero(k == value) for value in occupied]
+
+
+def _exact_samples(generator, rho, times, sectors):
+    """Yield the state at each later sample time.  Each block keeps one
+    exponential per distinct interval length and advances by one
+    matrix-vector product per sample on its entries of the row-major
+    vectorized state; entries outside every block stay zero.  The generator
+    block is built afresh for each exponential and not kept, which bounds
+    the memory held at once to the exponential's working arrays."""
+    flat = rho.reshape(-1)
+    parts = [flat[indices] for indices in sectors]
+    known = [[] for _ in sectors]  # per block: (interval length, propagator)
     for span in np.diff(times):
-        for length, prop in known:
-            if abs(span - length) <= _SPAN_RTOL * length:
-                break
-        else:
-            prop = _expm(lio * span)
-            known.append((span, prop))
-        vec = prop @ vec
+        vec = np.zeros_like(flat)
+        for n, indices in enumerate(sectors):
+            for length, prop in known[n]:
+                if abs(span - length) <= _SPAN_RTOL * length:
+                    break
+            else:
+                prop = _expm(generator.to_matrix(indices=indices) * span)
+                known[n].append((span, prop))
+            parts[n] = prop @ parts[n]
+            vec[indices] = parts[n]
         yield vec.reshape(rho.shape)
 
 
@@ -471,11 +532,13 @@ def propagate(
 
     Engine selection (reported as ``PropagationResult.engine``):
 
-    * ``"exact"`` when no option is set, the generator is constant and
-      ``spec.dim <= EXACT_MAX_DIM``: ``exp(L dt)`` of the vectorized
-      superoperator, built once per distinct interval length (lengths equal
-      to 1e-12 relative share one), and one matrix-vector product per
-      sample.
+    * ``"exact"`` when no option is set, the generator is constant and the
+      blocks it must exponentiate hold at most ``EXACT_MAX_ENTRIES``
+      entries in all.  The blocks are the sectors of k = N_ket - N_bra on
+      which ``rho0`` has support when the generator conserves k, else the
+      whole vectorized space.  Each block L_k gets ``exp(L_k dt)`` once per
+      distinct interval length (lengths equal to 1e-12 relative share one)
+      and one matrix-vector product per sample.
     * ``"rk4"`` otherwise: fixed-step classical RK4.  The internal step
       honors the stability guard h * ||L|| < 0.1 based on a spectral-norm
       estimate; an explicit ``max_step`` that violates the guard raises
@@ -486,7 +549,8 @@ def propagate(
 
     Both engines raise ``DivergenceError`` at the first non-finite sample and
     report the trace error and the smallest eigenvalue of the Hermitian part
-    of every sample.
+    of every full d x d sample.  ``PropagationResult.sector_sizes`` lists the
+    sizes of the exponentiated blocks, largest first (empty under RK4).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
@@ -494,15 +558,15 @@ def propagate(
     if rho0.spec != generator.spec:
         raise ValueError("initial state and generator live on different spaces")
     rho = np.array(rho0.matrix, dtype=complex)
-    exact = (
-        max_step is None
-        and not richardson
-        and not renormalize
-        and not generator.is_time_dependent
-        and generator.spec.dim <= EXACT_MAX_DIM
-    )
+    options_set = max_step is not None or richardson or renormalize
+    sectors = []
+    if not options_set and not generator.is_time_dependent:
+        sectors = _sectors(generator, rho)
+        if sum(indices.size**2 for indices in sectors) > EXACT_MAX_ENTRIES:
+            sectors = []
+    exact = bool(sectors)
     if exact:
-        stepper = _exact_samples(generator, rho, times)
+        stepper = _exact_samples(generator, rho, times, sectors)
     else:
         norm = generator.norm_estimate()
         if max_step is not None:
@@ -535,6 +599,7 @@ def propagate(
         trace_errors=trace_errors,
         min_eigenvalues=np.linalg.eigvalsh(stack)[:, 0],
         engine="exact" if exact else "rk4",
+        sector_sizes=tuple(sorted((s.size for s in sectors), reverse=True)),
     )
 
 

@@ -125,20 +125,27 @@ def coefficients_from_eta(
 
 
 @lru_cache(maxsize=None)
+def _mixing_eigh(spec: TruncationSpec) -> tuple:
+    """Spectral decomposition of the Hermitian mixing generator
+    i (a2^dag a1 - a1^dag a2), one per truncation."""
+    a1 = ladder_operator(spec, 0)
+    a2 = ladder_operator(spec, 1)
+    vals, vecs = np.linalg.eigh(1j * (a2.conj().T @ a1 - a1.conj().T @ a2))
+    vals.setflags(write=False)
+    vecs.setflags(write=False)
+    return vals, vecs
+
+
 def _rotation_unitary(theta: float, spec: TruncationSpec) -> np.ndarray:
     """Fock-space unitary sending each original mode to its collective image.
 
     Built from the spectral decomposition of the Hermitian mixing generator,
-    so it is unitary to machine precision on the whole truncated space.
+    so it is unitary to machine precision on the whole truncated space.  Only
+    the decomposition is cached: the angle takes a new value with every set
+    of rates.
     """
-    a1 = ladder_operator(spec, 0)
-    a2 = ladder_operator(spec, 1)
-    generator = a2.conj().T @ a1 - a1.conj().T @ a2
-    herm = 1j * generator
-    vals, vecs = np.linalg.eigh(herm)
-    unitary = (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
-    unitary.setflags(write=False)
-    return unitary
+    vals, vecs = _mixing_eigh(spec)
+    return (vecs * np.exp(-1j * theta * vals)) @ vecs.conj().T
 
 
 def _lowering_series(op_low, op_raise, rho, coefficient, jmax):

@@ -160,8 +160,8 @@ def validate_config(cfg) -> list[str]:
         for key in ("k1", "k2"):
             if not (isinstance(params.get(key), (int, float)) and params[key] > 0):
                 errors.append(f"realistic_two params.{key} must be positive")
-        if "k3" not in params and "delta_k" not in params:
-            errors.append("realistic_two needs params.k3 or params.delta_k")
+        if ("k3" in params) == ("delta_k" in params):
+            errors.append("realistic_two needs exactly one of params.k3 and params.delta_k")
     if model == "nonmarkovian_two" and isinstance(params, dict):
         if "spectral_density" not in params and "coupling" not in params:
             errors.append("nonmarkovian_two needs params.spectral_density or params.coupling")
@@ -241,6 +241,9 @@ def validate_report(report) -> list[str]:
             value = diag.get(key)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 errors.append(f"diagnostics.{key} must be finite")
+        sizes = diag.get("sector_sizes", [])
+        if not (isinstance(sizes, list) and all(_is_int(n) and n > 0 for n in sizes)):
+            errors.append("diagnostics.sector_sizes must be a list of positive integers")
     dev = report.get("analytic_numeric_max_deviation")
     if dev is not None and (not isinstance(dev, (int, float)) or not math.isfinite(dev)):
         errors.append("analytic_numeric_max_deviation must be finite or null")
@@ -676,6 +679,7 @@ def run_scenario(cfg, out_dir: Optional[str] = None) -> dict:
 def _assemble_report(cfg, run: _Run, elapsed: float) -> dict:
     diag = {
         "engine": run.result.engine,
+        "sector_sizes": list(run.result.sector_sizes),
         "max_trace_error": float(np.max(run.result.trace_errors)),
         "min_eigenvalue": float(np.min(run.result.min_eigenvalues)),
     }

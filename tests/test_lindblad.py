@@ -19,15 +19,17 @@ from dfsim.fock import (
     fock_state,
     ladder_operator,
     mode_population,
+    number_operator,
     one_photon_state,
     trace_distance,
     vacuum_state,
 )
 from dfsim.kernel import MemoryKernelSolution
 from dfsim.lindblad import (
-    EXACT_MAX_DIM,
+    STEP_GUARD,
     LindbladGenerator,
     _expm,
+    _sectors,
     build_bm_generator,
     build_realistic_generator,
     build_time_dependent_generator,
@@ -378,6 +380,142 @@ def test_expm_large_skew_hermitian_stays_unitary():
     assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(8))) < 1e-12
 
 
+def _kron_superoperator(gen, t=0.0):
+    """The superoperator written with np.kron over the whole space, as the
+    reference for ``to_matrix``."""
+    shift, gamma = gen.coefficients(t)
+    eye = np.eye(gen.spec.dim)
+    ham = gen.hamiltonian
+    if shift != 0.0 and gen.shift_operator is not None:
+        ham = ham + shift * gen.shift_operator
+    lio = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    for i, li in enumerate(gen.jump_operators):
+        for j, lj in enumerate(gen.jump_operators):
+            g = gamma[i, j]
+            if g == 0:
+                continue
+            pij = lj.conj().T @ li
+            lio = lio + 2.0 * g * np.kron(li, lj.conj())
+            lio = lio - g * (np.kron(pij, eye) + np.kron(eye, pij.T))
+    return lio
+
+
+def _quadrature_damping(spec):
+    # the jump a + a^dag changes the excitation number by -1 and +1 at once
+    low = ladder_operator(spec, 0)
+    return LindbladGenerator(
+        spec, number_operator(spec, 0), (low + low.conj().T,), np.array([[0.5]])
+    )
+
+
+def _generators():
+    spec = TruncationSpec(2, 2)
+    times = np.linspace(0.0, 1.0, 11)
+    kernel = MemoryKernelSolution(
+        times=times,
+        amplitude=np.exp(-times),
+        omega=1.1,
+        damping=0.5 + 0.3 * times,
+        frequency_shift=0.2 * np.sin(times),
+        injection_rate=0.05 * times,
+    )
+    return {
+        "markovian_thermal": (
+            build_bm_generator(
+                RateModel((0.8, 1.2), thermal_occupation=0.3), spec, omega=1.0
+            ),
+            0.0,
+        ),
+        "realistic": (
+            build_realistic_generator(
+                RateModel((1.0, 0.6), cross_rate=0.5 + 0.3j), 0.9, 1.2, spec
+            ),
+            0.0,
+        ),
+        "time_dependent": (
+            build_time_dependent_generator(
+                kernel, spec, collective_direction=[1.0, 0.5j]
+            ),
+            0.37,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["markovian_thermal", "realistic", "time_dependent"])
+def test_to_matrix_block_is_slice_of_full(name):
+    gen, t = _generators()[name]
+    full = gen.to_matrix(t)
+    assert np.array_equal(full, _kron_superoperator(gen, t))
+    rho = random_density_matrix(np.random.default_rng(4), gen.spec)
+    blocks = [] if gen.is_time_dependent else _sectors(gen, rho.matrix)
+    scattered = np.random.default_rng(5).permutation(full.shape[0])[:23]
+    for indices in blocks + [scattered]:
+        assert np.array_equal(gen.to_matrix(t, indices=indices), full[np.ix_(indices, indices)])
+    # the blocks cover the space and the superoperator never leaves them
+    if blocks:
+        assert sorted(np.concatenate(blocks).tolist()) == list(range(full.shape[0]))
+        label = np.empty(full.shape[0], dtype=int)
+        for n, indices in enumerate(blocks):
+            label[indices] = n
+        rows, cols = np.nonzero(full)
+        assert np.array_equal(label[rows], label[cols])
+
+
+def test_sectors_of_non_conserving_generators():
+    spec = TruncationSpec(1, 3)
+    rho = fock_state(spec, (1,)).matrix
+    (whole,) = _sectors(_quadrature_damping(spec), rho)
+    assert np.array_equal(whole, np.arange(spec.dim**2))
+    # a and a^dag are each graded, but a coefficient pairing them mixes k
+    low = ladder_operator(spec, 0)
+    paired = LindbladGenerator(
+        spec,
+        number_operator(spec, 0),
+        (low, low.conj().T),
+        np.array([[1.0, 0.2], [0.2, 0.5]]),
+    )
+    (whole,) = _sectors(paired, rho)
+    assert np.array_equal(whole, np.arange(spec.dim**2))
+    diagonal = build_bm_generator(
+        RateModel((1.0,), thermal_occupation=0.5), spec, omega=1.0
+    )
+    (block,) = _sectors(diagonal, rho)
+    assert np.array_equal(block, [0, 5, 10, 15])
+
+
+def test_exact_engine_matches_rk4_on_three_sectors():
+    spec = TruncationSpec(2, 3)
+    gen = build_bm_generator(
+        RateModel((0.8, 1.2), thermal_occupation=0.3), spec, omega=1.0
+    )
+    psi = np.zeros(spec.dim, dtype=complex)
+    psi[spec.index_of((0, 0))] = 0.6
+    psi[spec.index_of((1, 0))] = 0.48j
+    psi[spec.index_of((0, 1))] = 0.64
+    rho0 = DensityMatrix.from_state_vector(spec, psi)
+    times = np.linspace(0.0, 0.3, 7)
+    exact = propagate(gen, rho0, times)
+    rk4 = propagate(gen, rho0, times, max_step=1e-4)
+    # k = 0 pairs equal total numbers, k = +-1 neighbouring ones
+    assert exact.sector_sizes == (44, 40, 40)
+    for a, b in zip(exact.states, rk4.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
+
+
+def test_exact_engine_matches_rk4_at_d49():
+    spec = TruncationSpec(2, 6)
+    gen = build_bm_generator(
+        RateModel((1.1, 0.7), thermal_occupation=0.08), spec, omega=1.5
+    )
+    rho0 = one_photon_state(ModeVector.from_angles(0.7, 1.9), spec)
+    times = np.linspace(0.0, 0.02, 3)
+    exact = propagate(gen, rho0, times)
+    rk4 = propagate(gen, rho0, times, max_step=0.5 * STEP_GUARD / gen.norm_estimate())
+    assert (exact.engine, exact.sector_sizes) == ("exact", (231,))
+    for a, b in zip(exact.states, rk4.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
+
+
 def test_exact_engine_matches_rk4_thermal():
     spec = TruncationSpec(2, 3)
     gen = build_bm_generator(
@@ -444,11 +582,22 @@ def test_engine_selection():
     td = build_time_dependent_generator(kernel, spec)
     assert propagate(td, rho0, times).engine == "rk4"
 
-    for levels, engine in ((EXACT_MAX_DIM, "exact"), (EXACT_MAX_DIM + 1, "rk4")):
-        wide = TruncationSpec(1, levels - 1)
-        gen = build_bm_generator(RateModel((1.0,)), wide, omega=1.0)
-        res = propagate(gen, fock_state(wide, (1,)), np.linspace(0.0, 0.01, 2))
+    # the budget counts the entries of the occupied blocks: a Fock state at
+    # d = 25 occupies one 25-entry block of the 625-entry space
+    wide = TruncationSpec(1, 24)
+    gen = build_bm_generator(RateModel((1.0,)), wide, omega=1.0)
+    res = propagate(gen, fock_state(wide, (1,)), np.linspace(0.0, 0.01, 2))
+    assert (res.engine, res.sector_sizes) == ("exact", (25,))
+    # a non-conserving generator is one whole-space block: (d^2)^2 entries
+    # fit the budget at d = 24 and exceed it at d = 25
+    for levels, engine in ((24, "exact"), (25, "rk4")):
+        res = propagate(
+            _quadrature_damping(TruncationSpec(1, levels - 1)),
+            fock_state(TruncationSpec(1, levels - 1), (1,)),
+            np.linspace(0.0, 1e-3, 2),
+        )
         assert res.engine == engine
+        assert res.sector_sizes == ((levels**2,) if engine == "exact" else ())
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,6 +15,8 @@ from dfsim.fock import (
 )
 from dfsim.lindblad import build_bm_generator, propagate
 from dfsim.propagator import (
+    _mixing_eigh,
+    _rotation_unitary,
     apply_superoperator,
     asymptotic_state,
     coefficients_from_eta,
@@ -98,6 +100,18 @@ def test_apply_superoperator_identity_at_zero_time():
     c = markov_coefficients(1.0, 2.0, 0.5, 1.0, 0.0)
     out = apply_superoperator(c, rho)
     assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
+
+
+def test_rotation_cache_holds_one_entry_per_truncation():
+    # the angle changes with every set of rates; caching per angle grew
+    # without bound over a long run of configs
+    _mixing_eigh.cache_clear()
+    rho = one_photon_state(ModeVector.from_angles(0.4, 0.2), SPEC)
+    for k2 in (0.3, 0.7, 1.1, 2.5):
+        apply_superoperator(markov_coefficients(1.0, k2, 0.0, 1.0, 0.5), rho)
+        unitary = _rotation_unitary(np.arctan(np.sqrt(k2)), SPEC)
+        assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(SPEC.dim))) < 1e-13
+    assert _mixing_eigh.cache_info().currsize == 1
 
 
 def test_protected_family_evolves_unitarily():

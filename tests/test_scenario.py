@@ -272,9 +272,16 @@ def test_report_headers_and_precision(tmp_path):
 
 
 def test_report_names_the_engine():
-    assert run_scenario(base_markovian())["diagnostics"]["engine"] == "exact"
+    diag = run_scenario(base_markovian())["diagnostics"]
+    # one photon at d = 16: the k = 0 block holds the pairs of equal total
+    # number, 1 + 4 + 9 + 16 + 9 + 4 + 1 entries
+    assert (diag["engine"], diag["sector_sizes"]) == ("exact", [44])
     cfg = base_markovian(time={"t_max": 0.5, "steps": 6, "max_step": 1e-3})
-    assert run_scenario(cfg)["diagnostics"]["engine"] == "rk4"
+    report = run_scenario(cfg)
+    diag = report["diagnostics"]
+    assert (diag["engine"], diag["sector_sizes"]) == ("rk4", [])
+    bad = dict(report, diagnostics=dict(diag, sector_sizes=[0]))
+    assert any("sector_sizes" in e for e in validate_report(bad))
 
 
 def test_sweep_summary_same_bytes_for_any_jobs(tmp_path):
@@ -311,6 +318,18 @@ def _fractional_max_excitation():
     )
 
 
+def _k3_and_delta_k():
+    # a delta_k sweep would repeat one run if k3 silently took precedence
+    cfg = {
+        "model": "realistic_two",
+        "params": {"k1": 1.0, "k2": 1.0, "k3": 0.9, "delta_k": 0.01},
+        "initial_state": {"alpha": 0.3, "phi": 0.0},
+        "time": {"t_max": 1.0, "steps": 11},
+    }
+    cfg["sweep"] = {"parameter": "params.delta_k", "values": [0.001, 0.1]}
+    return cfg
+
+
 def _sweep_over_missing_key():
     cfg = base_markovian()
     cfg["sweep"] = {"parameter": "params.delta_kk", "values": [0.1, 0.2]}
@@ -324,8 +343,9 @@ def _sweep_over_missing_key():
         (_unknown_spectral_density, "spectral_density.type"),
         (_fractional_max_excitation, "max_excitation"),
         (_sweep_over_missing_key, "params.delta_kk"),
+        (_k3_and_delta_k, "exactly one of params.k3 and params.delta_k"),
     ],
-    ids=["occupations", "spectral_density", "max_excitation", "sweep_path"],
+    ids=["occupations", "spectral_density", "max_excitation", "sweep_path", "k3_and_delta_k"],
 )
 def test_config_defects_exit_2(tmp_path, capsys, build, message):
     cfg = build()
