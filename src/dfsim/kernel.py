@@ -2,25 +2,38 @@
 time-dependent rates, and the thermal injection history.
 
 The amplitude obeys a Volterra integrodifferential equation whose kernel is a
-finite sum of bath-mode exponentials.  Each bath mode therefore contributes
-one auxiliary prefix integral, turning the equation into a linear ODE system
-that a fixed-step RK4 integrates at genuine fourth order with O(n * modes)
-cost; continuous spectral densities enter through Gauss-Legendre nodes.
+finite sum of bath-mode exponentials.  Each bath mode contributes one
+auxiliary prefix integral, turning the equation into a constant linear ODE
+system whose matrix is similar to -i H for a real symmetric arrowhead H; one
+``eigh`` of H gives eta exactly as a sum over its poles (Wigner-Weisskopf /
+Fano).  Continuous spectral densities enter through Gauss-Legendre nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import DivergenceError
-from .tableio import format_value, write_text
+from .tableio import render_columns, write_text
 
 KERNEL_SIGNS = ("conjugate", "as_printed")
 SPECTRAL_DENSITY_TYPES = ("discrete", "ohmic")
+_CSV_HEADER = ("time", "re_amplitude", "im_amplitude", "damping", "frequency_shift",
+               "injection_rate", "quanta_gain")
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(order: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -74,7 +87,7 @@ class SpectralDensity:
             raise ValueError("amplitude must be >= 0 and cutoff > 0")
         if order < 2:
             raise ValueError("quadrature order must be at least 2")
-        nodes, gl_weights = np.polynomial.legendre.leggauss(order)
+        nodes, gl_weights = _gauss_legendre(order)
         half = 0.5 * span * cutoff
         freqs = half * (nodes + 1.0)
         density = amplitude * freqs * np.exp(-freqs / cutoff)
@@ -135,30 +148,13 @@ class MemoryKernelSolution:
         return float(self.times[1] - self.times[0])
 
     def to_csv_text(self) -> str:
-        header = [
-            "time",
-            "re_amplitude",
-            "im_amplitude",
-            "damping",
-            "frequency_shift",
-            "injection_rate",
-            "quanta_gain",
-        ]
-        n = self.times.size
-        nan = np.full(n, np.nan)
-        cols = [
-            self.times,
-            self.amplitude.real,
-            self.amplitude.imag,
-            self.damping if self.damping is not None else nan,
-            self.frequency_shift if self.frequency_shift is not None else nan,
-            self.injection_rate if self.injection_rate is not None else nan,
-            self.quanta_gain if self.quanta_gain is not None else nan,
-        ]
-        lines = [",".join(header)]
-        for i in range(n):
-            lines.append(",".join(format_value(c[i]) for c in cols))
-        return "\n".join(lines) + "\n"
+        nan = np.full(self.times.size, np.nan)
+        derived = (self.damping, self.frequency_shift, self.injection_rate, self.quanta_gain)
+        return render_columns(
+            _CSV_HEADER,
+            [self.times, self.amplitude.real, self.amplitude.imag]
+            + [nan if col is None else col for col in derived],
+        )
 
     def write_csv(self, path):
         write_text(path, self.to_csv_text())
@@ -174,6 +170,18 @@ def _check_uniform(times: np.ndarray) -> float:
     return float(h)
 
 
+def _phase_blocks(rates: np.ndarray, h: float, n: int):
+    """exp(-i rates t_m) on t_m = m h, m < n, as two factors.
+
+    With B = ceil(sqrt(n)), ``outer[a] * inner[b]`` is the row for m = a B + b,
+    so (A + B) * len(rates) exponentials stand in for n * len(rates).
+    """
+    block = math.isqrt(n - 1) + 1
+    inner = np.exp(-1j * h * np.outer(np.arange(block), rates))
+    outer = np.exp(-1j * (block * h) * np.outer(np.arange(-(-n // block)), rates))
+    return outer, inner
+
+
 def solve_amplitude(
     sd: SpectralDensity,
     omega: float,
@@ -182,54 +190,42 @@ def solve_amplitude(
     kernel_sign: str = "conjugate",
     substeps: int = 1,
 ) -> MemoryKernelSolution:
-    """Integrate the memory amplitude from eta(0) = 1 on a uniform grid.
+    """Exact memory amplitude from eta(0) = 1 on a uniform grid.
 
     ``kernel_sign`` picks the phase convention of the kernel exponentials:
     "conjugate" (default, exp(-i w_k s), damped solutions for physical baths)
-    or "as_printed" (exp(+i w_k s)).  Raises ``DivergenceError`` if |eta|
-    exceeds 10.
+    or "as_printed" (exp(+i w_k s)).  With D = diag(1, sqrt(g_k)) and a
+    diagonal phase, the ODE matrix of eta and the per-mode prefix integrals
+    becomes -i H for the real symmetric arrowhead H with omega, then
+    -sign * w_k on its diagonal and sqrt(g_k) along its first row and column,
+    so eta(t) = sum_j V[0, j]^2 exp(-i lambda_j t) over the eigenpairs of H.
+    ``substeps`` is accepted (>= 1) and ignored: nothing is time-stepped.
+    Raises ``DivergenceError`` if eta is non-finite or |eta| exceeds 10.
     """
     if kernel_sign not in KERNEL_SIGNS:
         raise ValueError(f"kernel_sign must be one of {KERNEL_SIGNS}")
     times = np.asarray(times, dtype=float)
-    h_grid = _check_uniform(times)
+    h = _check_uniform(times)
     if abs(times[0]) > 1e-12:
         raise ValueError("grid must start at t = 0")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     sign = -1.0 if kernel_sign == "conjugate" else 1.0
-    freqs = sd.mode_frequencies
-    weights = sd.mode_weights
-    phase = sign * 1j * freqs
-
-    def rhs(y):
-        eta = y[0]
-        z = y[1:]
-        d_eta = -1j * omega * eta - (weights @ z if z.size else 0.0)
-        dz = phase * z + eta
-        out = np.empty_like(y)
-        out[0] = d_eta
-        out[1:] = dz
-        return out
-
-    y = np.zeros(1 + sd.num_modes, dtype=complex)
-    y[0] = 1.0
-    h = h_grid / substeps
-    eta = np.empty(times.size, dtype=complex)
+    arrow = np.diag(np.concatenate(([omega], -sign * sd.mode_frequencies)))
+    arrow[0, 1:] = arrow[1:, 0] = np.sqrt(sd.mode_weights)
+    if np.isfinite(arrow).all():
+        lam, vecs = np.linalg.eigh(arrow)
+        outer, inner = _phase_blocks(lam, h, times.size)
+        eta = ((outer * vecs[0] ** 2) @ inner.T).ravel()[: times.size]
+    else:  # LAPACK may reject the matrix; the guard below names the first step
+        eta = np.full(times.size, np.nan, dtype=complex)
     eta[0] = 1.0
-    for n in range(times.size - 1):
-        for _ in range(substeps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        eta[n + 1] = y[0]
-        if not np.isfinite(y[0]) or abs(y[0]) > 10.0:
-            raise DivergenceError(
-                f"amplitude left the physical region at t = {times[n + 1]}",
-                time=float(times[n + 1]),
-            )
+    bad = ~np.isfinite(eta) | (np.abs(eta) > 10.0)
+    if bad.any():
+        t_bad = float(times[np.argmax(bad)])
+        raise DivergenceError(
+            f"amplitude left the physical region at t = {t_bad}", time=t_bad
+        )
     return MemoryKernelSolution(
         times=times, amplitude=eta, omega=float(omega), kernel_sign=kernel_sign
     )
@@ -288,22 +284,20 @@ def thermal_injection_rate(
     mags2 = np.abs(solution.amplitude) ** 2
     if np.any(mags2 < 1e-24):
         raise ValueError("amplitude vanishes on the grid; injection rate undefined")
+    weights = sd.mode_weights * occupations
+    live = weights != 0
+    weights = weights[live]
+    outer, inner = _phase_blocks(-sd.mode_frequencies[live], h, times.size)
+    eta = solution.amplitude[:, None]
     total = np.zeros(times.size)
-    chunk = 64
-    eta = solution.amplitude
-    for start in range(0, sd.num_modes, chunk):
-        freqs = sd.mode_frequencies[start : start + chunk]
-        weights = sd.mode_weights[start : start + chunk] * occupations[
-            start : start + chunk
-        ]
-        if not np.any(weights):
-            continue
-        rot = np.exp(1j * np.outer(freqs, times))
-        integ = rot * eta[None, :]
+    chunk = 16  # modes per pass: keeps the (n, chunk) temporaries in cache
+    for start in range(0, weights.size, chunk):
+        part = slice(start, start + chunk)
+        rot = outer[:, None, part] * inner[None, :, part]
+        integ = rot.reshape(-1, rot.shape[-1])[: times.size] * eta
         prefix = np.zeros_like(integ)
-        prefix[:, 1:] = np.cumsum(0.5 * (integ[:, 1:] + integ[:, :-1]), axis=1) * h
-        response = np.abs(np.conj(rot) * prefix) ** 2
-        total += weights @ response
+        prefix[1:] = np.cumsum(0.5 * (integ[1:] + integ[:-1]), axis=0) * h
+        total += (prefix.real**2 + prefix.imag**2) @ weights[part]
     scaled = total / mags2
     return 0.5 * mags2 * np.gradient(scaled, h, edge_order=2)
 

@@ -48,7 +48,7 @@ from .fock import (
     one_photon_vector,
     purity,
 )
-from .kernel import SPECTRAL_DENSITY_TYPES, SpectralDensity, solve_kernel
+from .kernel import KERNEL_SIGNS, SPECTRAL_DENSITY_TYPES, SpectralDensity, solve_kernel
 from .lindblad import (
     build_bm_generator,
     build_realistic_generator,
@@ -172,6 +172,14 @@ def validate_config(cfg) -> list[str]:
             errors.append(
                 f"params.spectral_density.type must be one of {SPECTRAL_DENSITY_TYPES}"
             )
+        points = params.get("kernel_points", 10001)
+        if not (_is_int(points) and points >= 3):
+            errors.append("params.kernel_points must be an integer >= 3")
+        if params.get("kernel_sign", "conjugate") not in KERNEL_SIGNS:
+            errors.append(f"params.kernel_sign must be one of {KERNEL_SIGNS}")
+        substeps = params.get("kernel_substeps", 1)
+        if not (_is_int(substeps) and substeps >= 1):
+            errors.append("params.kernel_substeps must be an integer >= 1")
     if model in MODELS and isinstance(params, dict):
         max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION[model])
         if not (_is_int(max_exc) and max_exc >= 1):

@@ -13,6 +13,20 @@ def format_value(x) -> str:
     return f"{float(x):.17g}"
 
 
+def format_column(values) -> list[str]:
+    """``format_value`` of each entry; a float array is formatted in one pass."""
+    if getattr(values, "dtype", None) is not None and values.dtype.kind == "f":
+        return [f"{v:.17g}" for v in values.tolist()]
+    return [format_value(v) for v in values]
+
+
+def render_columns(header, columns) -> str:
+    """The text ``render_csv`` gives for the rows of ``columns``, built by column."""
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*map(format_column, columns))))
+    return "\n".join(lines) + "\n"
+
+
 def render_csv(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:

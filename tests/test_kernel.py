@@ -50,16 +50,55 @@ def test_resonant_mode_solution():
     assert np.max(np.abs(sol.amplitude - exact)) < 1e-10
 
 
-def test_solver_order_at_least_three_and_a_half():
+def test_exact_amplitude_on_coarse_grid_ignores_substeps():
+    # the pole expansion is exact at any grid spacing: 1501 points reach the
+    # closed form to rounding, and substeps change nothing
     g, w = 0.9, 1.1
     times = np.linspace(0.0, 3.0, 1501)
     exact = np.exp(-1j * w * times) * np.cos(g * times)
     sd = SpectralDensity.from_modes([(w, g)])
     coarse = solve_amplitude(sd, w, times)
     fine = solve_amplitude(sd, w, times, substeps=2)
-    err_coarse = np.max(np.abs(coarse.amplitude - exact))
-    err_fine = np.max(np.abs(fine.amplitude - exact))
-    assert err_coarse / err_fine >= 2.0**3.5
+    assert np.max(np.abs(coarse.amplitude - exact)) <= 1e-13
+    assert np.array_equal(fine.amplitude, coarse.amplitude)
+
+
+def _rk4_arrowhead(sd, omega, times, kernel_sign, substeps=20):
+    # fine-step RK4 of y' = A y with y = (eta, z_k), z_k the per-mode prefix
+    # integrals, in the original (untransformed) variables
+    sign = -1.0 if kernel_sign == "conjugate" else 1.0
+    size = 1 + sd.num_modes
+    a = np.zeros((size, size), dtype=complex)
+    a[0, 0] = -1j * omega
+    a[0, 1:] = -sd.mode_weights
+    a[1:, 0] = 1.0
+    a[np.arange(1, size), np.arange(1, size)] = sign * 1j * sd.mode_frequencies
+    ha = (times[1] - times[0]) / substeps * a
+    step = np.eye(size) + ha @ (np.eye(size) + ha @ (np.eye(size) / 2 + ha @ (
+        np.eye(size) / 6 + ha / 24)))
+    grid_step = np.linalg.matrix_power(step, substeps)
+    y = np.zeros(size, dtype=complex)
+    y[0] = 1.0
+    eta = np.empty(times.size, dtype=complex)
+    for n in range(times.size):
+        eta[n] = y[0]
+        y = grid_step @ y
+    return eta
+
+
+@pytest.mark.parametrize("kernel_sign", ["conjugate", "as_printed"])
+def test_amplitude_matches_fine_rk4_for_both_signs(kernel_sign):
+    sd = SpectralDensity.from_modes([(0.8, 0.5), (1.2, 0.4), (1.7, 0.3)])
+    times = np.linspace(0.0, 2.0, 401)
+    sol = solve_amplitude(sd, 1.0, times, kernel_sign=kernel_sign)
+    reference = _rk4_arrowhead(sd, 1.0, times, kernel_sign)
+    assert np.max(np.abs(sol.amplitude - reference)) <= 1e-10
+
+
+def test_ohmic_amplitude_starts_at_exactly_one():
+    sd = SpectralDensity.ohmic(0.03, 5.0, order=400)
+    sol = solve_amplitude(sd, 1.0, np.linspace(0.0, 1.0, 2001))
+    assert sol.amplitude[0] == 1.0
 
 
 def test_kernel_sign_conventions_differ():
@@ -181,6 +220,50 @@ def test_injection_rate_single_mode_closed_form():
     assert np.max(np.abs(eps[1:-1] - expected[1:-1])) < 1e-6
 
 
+def _chunked_injection_rate(sd, beta, solution):
+    # the per-mode response integral as formulated before the pole expansion:
+    # one exp(i w_k t) per mode and sample, 64 modes per pass
+    times, h, eta = solution.times, solution.step, solution.amplitude
+    occupations = 1.0 / np.expm1(beta * sd.mode_frequencies)
+    mags2 = np.abs(eta) ** 2
+    total = np.zeros(times.size)
+    for start in range(0, sd.num_modes, 64):
+        freqs = sd.mode_frequencies[start : start + 64]
+        weights = sd.mode_weights[start : start + 64] * occupations[start : start + 64]
+        rot = np.exp(1j * np.outer(freqs, times))
+        integ = rot * eta[None, :]
+        prefix = np.zeros_like(integ)
+        prefix[:, 1:] = np.cumsum(0.5 * (integ[:, 1:] + integ[:, :-1]), axis=1) * h
+        total += weights @ (np.abs(np.conj(rot) * prefix) ** 2)
+    return 0.5 * mags2 * np.gradient(total / mags2, h, edge_order=2)
+
+
+@pytest.mark.parametrize(
+    "sd",
+    [
+        SpectralDensity.from_modes([(0.8, 0.5), (1.2, 0.4), (1.7, 0.3)]),
+        SpectralDensity.ohmic(0.03, 5.0, order=200),
+    ],
+    ids=["three_modes", "ohmic"],
+)
+def test_injection_rate_matches_chunked_formula(sd):
+    times = np.linspace(0.0, 2.0, 1001)
+    sol = solve_amplitude(sd, 1.0, times)
+    eps = thermal_injection_rate(sd, 1.5, sol)
+    reference = _chunked_injection_rate(sd, 1.5, sol)
+    assert np.max(np.abs(eps - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_injection_rate_skips_uncoupled_modes():
+    coupled = SpectralDensity.from_weights([1.3], [0.16])
+    padded = SpectralDensity.from_weights([0.7, 1.3, 2.1], [0.0, 0.16, 0.0])
+    times = np.linspace(0.0, 1.0, 201)
+    sol = solve_amplitude(coupled, 1.0, times)
+    assert np.array_equal(
+        thermal_injection_rate(padded, 2.0, sol), thermal_injection_rate(coupled, 2.0, sol)
+    )
+
+
 def test_quanta_gain_trivial_cases():
     times = np.linspace(0.0, 2.0, 201)
     eta = np.exp(-0.3 * times) * np.exp(-1j * times)
@@ -246,6 +329,20 @@ def test_spectral_density_from_dict():
     assert sd2.num_modes == 50
     with pytest.raises(ValueError):
         SpectralDensity.from_dict({"type": "lorentzian"})
+
+
+def test_ohmic_nodes_cached_and_bounded():
+    from dfsim.kernel import _gauss_legendre
+
+    first = SpectralDensity.ohmic(0.01, 5.0, order=300)
+    second = SpectralDensity.ohmic(0.02, 5.0, order=300)
+    assert np.array_equal(first.mode_frequencies, second.mode_frequencies)
+    nodes, weights = _gauss_legendre(300)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    for order in range(20, 40):
+        SpectralDensity.ohmic(0.01, 5.0, order=order)
+    info = _gauss_legendre.cache_info()
+    assert info.currsize <= info.maxsize == 8
 
 
 def test_spectral_density_validation():

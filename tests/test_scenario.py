@@ -330,6 +330,24 @@ def _k3_and_delta_k():
     return cfg
 
 
+def _kernel_param(key, value):
+    # a runnable one-mode memory-kernel config with one kernel setting broken
+    def build():
+        params = {
+            "spectral_density": {"type": "discrete", "modes": [{"omega": 1.0, "coupling": 0.3}]},
+            "kernel_points": 101,
+        }
+        params[key] = value
+        return {
+            "model": "nonmarkovian_two",
+            "params": params,
+            "initial_state": {"occupations": [1, 0]},
+            "time": {"t_max": 1.0, "steps": 11},
+        }
+
+    return build
+
+
 def _sweep_over_missing_key():
     cfg = base_markovian()
     cfg["sweep"] = {"parameter": "params.delta_kk", "values": [0.1, 0.2]}
@@ -344,8 +362,24 @@ def _sweep_over_missing_key():
         (_fractional_max_excitation, "max_excitation"),
         (_sweep_over_missing_key, "params.delta_kk"),
         (_k3_and_delta_k, "exactly one of params.k3 and params.delta_k"),
+        (_kernel_param("kernel_points", 2), "params.kernel_points"),
+        (_kernel_param("kernel_points", 2.5), "params.kernel_points"),
+        (_kernel_param("kernel_sign", "bogus"), "params.kernel_sign"),
+        (_kernel_param("kernel_substeps", 0), "params.kernel_substeps"),
+        (_kernel_param("kernel_substeps", "x"), "params.kernel_substeps"),
     ],
-    ids=["occupations", "spectral_density", "max_excitation", "sweep_path", "k3_and_delta_k"],
+    ids=[
+        "occupations",
+        "spectral_density",
+        "max_excitation",
+        "sweep_path",
+        "k3_and_delta_k",
+        "kernel_points_2",
+        "kernel_points_fractional",
+        "kernel_sign",
+        "kernel_substeps_0",
+        "kernel_substeps_string",
+    ],
 )
 def test_config_defects_exit_2(tmp_path, capsys, build, message):
     cfg = build()
