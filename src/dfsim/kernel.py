@@ -150,11 +150,9 @@ class MemoryKernelSolution:
     def to_csv_text(self) -> str:
         nan = np.full(self.times.size, np.nan)
         derived = (self.damping, self.frequency_shift, self.injection_rate, self.quanta_gain)
-        return render_columns(
-            _CSV_HEADER,
-            [self.times, self.amplitude.real, self.amplitude.imag]
-            + [nan if col is None else col for col in derived],
-        )
+        columns = [self.times, self.amplitude.real, self.amplitude.imag]
+        columns += [nan if col is None else col for col in derived]
+        return render_columns(_CSV_HEADER, columns)
 
     def write_csv(self, path):
         write_text(path, self.to_csv_text())
@@ -194,13 +192,12 @@ def solve_amplitude(
 
     ``kernel_sign`` picks the phase convention of the kernel exponentials:
     "conjugate" (default, exp(-i w_k s), damped solutions for physical baths)
-    or "as_printed" (exp(+i w_k s)).  With D = diag(1, sqrt(g_k)) and a
-    diagonal phase, the ODE matrix of eta and the per-mode prefix integrals
-    becomes -i H for the real symmetric arrowhead H with omega, then
-    -sign * w_k on its diagonal and sqrt(g_k) along its first row and column,
-    so eta(t) = sum_j V[0, j]^2 exp(-i lambda_j t) over the eigenpairs of H.
-    ``substeps`` is accepted (>= 1) and ignored: nothing is time-stepped.
-    Raises ``DivergenceError`` if eta is non-finite or |eta| exceeds 10.
+    or "as_printed" (exp(+i w_k s)).  D = diag(1, sqrt(g_k)) and a diagonal
+    phase map the ODE matrix to -i H, H the real symmetric arrowhead with
+    omega, -sign * w_k on its diagonal and sqrt(g_k) in its first row and
+    column, so eta(t) = sum_j V[0, j]^2 exp(-i lambda_j t).  ``substeps``
+    (>= 1) is accepted and ignored.  Raises ``DivergenceError`` if eta is
+    non-finite or |eta| exceeds 10.
     """
     if kernel_sign not in KERNEL_SIGNS:
         raise ValueError(f"kernel_sign must be one of {KERNEL_SIGNS}")
@@ -284,20 +281,27 @@ def thermal_injection_rate(
     mags2 = np.abs(solution.amplitude) ** 2
     if np.any(mags2 < 1e-24):
         raise ValueError("amplitude vanishes on the grid; injection rate undefined")
+    n = times.size
     weights = sd.mode_weights * occupations
     live = weights != 0
     weights = weights[live]
-    outer, inner = _phase_blocks(-sd.mode_frequencies[live], h, times.size)
+    outer, inner = _phase_blocks(-sd.mode_frequencies[live], h, n)
     eta = solution.amplitude[:, None]
-    total = np.zeros(times.size)
-    chunk = 16  # modes per pass: keeps the (n, chunk) temporaries in cache
-    for start in range(0, weights.size, chunk):
-        part = slice(start, start + chunk)
+    total = np.zeros(n)
+    # 16 modes per pass, worked in place in one (n, 16) array
+    for start in range(0, weights.size, 16):
+        part = slice(start, start + 16)
         rot = outer[:, None, part] * inner[None, :, part]
-        integ = rot.reshape(-1, rot.shape[-1])[: times.size] * eta
-        prefix = np.zeros_like(integ)
-        prefix[1:] = np.cumsum(0.5 * (integ[1:] + integ[:-1]), axis=0) * h
-        total += (prefix.real**2 + prefix.imag**2) @ weights[part]
+        prefix = rot.reshape(-1, rot.shape[-1])[:n]  # exp(i w_k t_n) for each mode
+        prefix *= eta
+        prefix[1:] += prefix[:-1]  # trapezoid: cumsum(0.5 * (f[1:] + f[:-1])) * h
+        prefix[0] = 0.0
+        prefix[1:] *= 0.5
+        np.cumsum(prefix[1:], axis=0, out=prefix[1:])
+        prefix[1:] *= h
+        squares = prefix.view(float)  # |prefix|^2 as re^2 + im^2
+        np.square(squares, out=squares)
+        total += squares @ np.repeat(weights[part], 2)
     scaled = total / mags2
     return 0.5 * mags2 * np.gradient(scaled, h, edge_order=2)
 

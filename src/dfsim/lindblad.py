@@ -45,7 +45,7 @@ from .fock import (
     ladder_operator,
     number_operator,
 )
-from .tableio import format_value, write_text
+from .tableio import render_columns, write_text
 
 STEP_GUARD = 0.1
 
@@ -379,10 +379,7 @@ class PropagationResult:
             for name, values in observables.items():
                 header.append(name)
                 columns.append(np.asarray(values))
-        lines = [",".join(header)]
-        for i in range(len(self.times)):
-            lines.append(",".join(format_value(col[i]) for col in columns))
-        return "\n".join(lines) + "\n"
+        return render_columns(header, columns)
 
     def write_csv(self, path, observables: Optional[dict] = None):
         write_text(path, self.to_csv_text(observables))

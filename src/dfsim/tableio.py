@@ -13,17 +13,20 @@ def format_value(x) -> str:
     return f"{float(x):.17g}"
 
 
-def format_column(values) -> list[str]:
-    """``format_value`` of each entry; a float array is formatted in one pass."""
-    if getattr(values, "dtype", None) is not None and values.dtype.kind == "f":
-        return [f"{v:.17g}" for v in values.tolist()]
-    return [format_value(v) for v in values]
-
-
 def render_columns(header, columns) -> str:
-    """The text ``render_csv`` gives for the rows of ``columns``, built by column."""
+    """The text ``render_csv`` gives for the rows of ``columns``.  A float array
+    is converted to Python floats once and formatted through a row template."""
+    specs, cells = [], []
+    for values in columns:
+        if getattr(values, "dtype", None) is not None and values.dtype.kind == "f":
+            specs.append("{:.17g}")
+            cells.append(values.tolist())
+        else:
+            specs.append("{}")
+            cells.append([format_value(v) for v in values])
+    row = ",".join(specs).format
     lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(format_column, columns))))
+    lines.extend(row(*values) for values in zip(*cells))
     return "\n".join(lines) + "\n"
 
 

@@ -247,6 +247,8 @@ def _chunked_injection_rate(sd, beta, solution):
     ids=["three_modes", "ohmic"],
 )
 def test_injection_rate_matches_chunked_formula(sd):
+    # the two differ only by rounding in the phases and sums, which the final
+    # derivative amplifies by 1/h; at h = 2e-3 that stays near 2e-13
     times = np.linspace(0.0, 2.0, 1001)
     sol = solve_amplitude(sd, 1.0, times)
     eps = thermal_injection_rate(sd, 1.5, sol)
