@@ -27,7 +27,7 @@ from .fock import (
     ladder_operator,
     one_photon_vector,
 )
-from .tableio import format_value, write_text
+from .tableio import render_csv, write_text
 
 
 @dataclass(frozen=True)
@@ -251,17 +251,12 @@ def asymptotic_state(k1: float, k2: float, alpha: float, phi: float) -> Asymptot
 
 def coefficients_to_csv_text(coeff_list) -> str:
     header = ["time", "thermal_weight", "re_damping_exponent", "im_damping_exponent", "emission_weight"]
-    lines = [",".join(header)]
-    for c in coeff_list:
-        row = [
-            c.time,
-            c.thermal_weight,
-            c.damping_exponent.real,
-            c.damping_exponent.imag,
-            c.emission_weight,
-        ]
-        lines.append(",".join(format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (
+        [c.time, c.thermal_weight, c.damping_exponent.real, c.damping_exponent.imag,
+         c.emission_weight]
+        for c in coeff_list
+    )
+    return render_csv(header, rows)
 
 
 def write_coefficients_csv(path, coeff_list):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ExceptionalPointError
 from .fock import DensityMatrix, ModeVector, TruncationSpec, one_photon_vector
-from .tableio import format_value, write_text
+from .tableio import render_columns, write_text
 
 LOW_CONFIDENCE_FIELDS = ("noise_a", "noise_b", "cross_noise")
 
@@ -170,24 +170,21 @@ class OnePhotonSolution:
             "re_mode_2",
             "im_mode_2",
         ]
-        lines = [",".join(header)]
-        for i in range(self.times.size):
-            row = [
-                self.times[i],
-                self.transfer_11[i].real,
-                self.transfer_11[i].imag,
-                self.transfer_22[i].real,
-                self.transfer_22[i].imag,
-                self.transfer_off[i].real,
-                self.transfer_off[i].imag,
-                self.survival[i],
-                self.modes[i, 0].real,
-                self.modes[i, 0].imag,
-                self.modes[i, 1].real,
-                self.modes[i, 1].imag,
-            ]
-            lines.append(",".join(format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
+        columns = [
+            self.times,
+            self.transfer_11.real,
+            self.transfer_11.imag,
+            self.transfer_22.real,
+            self.transfer_22.imag,
+            self.transfer_off.real,
+            self.transfer_off.imag,
+            self.survival,
+            self.modes[:, 0].real,
+            self.modes[:, 0].imag,
+            self.modes[:, 1].real,
+            self.modes[:, 1].imag,
+        ]
+        return render_columns(header, columns)
 
     def write_csv(self, path):
         write_text(path, self.to_csv_text())
