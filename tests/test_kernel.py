@@ -6,6 +6,7 @@ import pytest
 from dfsim.kernel import (
     MemoryKernelSolution,
     SpectralDensity,
+    _gauss_legendre,
     extract_rates,
     quanta_gain,
     solve_amplitude,
@@ -221,8 +222,8 @@ def test_injection_rate_single_mode_closed_form():
 
 
 def _chunked_injection_rate(sd, beta, solution):
-    # the per-mode response integral as formulated before the pole expansion:
-    # one exp(i w_k t) per mode and sample, 64 modes per pass
+    # reference: one exp(i w_k t) per mode and sample, 64 modes per pass, and
+    # the response as |conj(rot) * prefix|^2
     times, h, eta = solution.times, solution.step, solution.amplitude
     occupations = 1.0 / np.expm1(beta * sd.mode_frequencies)
     mags2 = np.abs(eta) ** 2
@@ -256,7 +257,7 @@ def test_injection_rate_matches_chunked_formula(sd):
     assert np.max(np.abs(eps - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
-def test_injection_rate_skips_uncoupled_modes():
+def test_injection_rate_unchanged_by_uncoupled_modes():
     coupled = SpectralDensity.from_weights([1.3], [0.16])
     padded = SpectralDensity.from_weights([0.7, 1.3, 2.1], [0.0, 0.16, 0.0])
     times = np.linspace(0.0, 1.0, 201)
@@ -334,8 +335,6 @@ def test_spectral_density_from_dict():
 
 
 def test_ohmic_nodes_cached_and_bounded():
-    from dfsim.kernel import _gauss_legendre
-
     first = SpectralDensity.ohmic(0.01, 5.0, order=300)
     second = SpectralDensity.ohmic(0.02, 5.0, order=300)
     assert np.array_equal(first.mode_frequencies, second.mode_frequencies)
