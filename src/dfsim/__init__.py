@@ -44,7 +44,6 @@ from .fock import (
     one_photon_state,
     one_photon_vector,
     purity,
-    total_number_operator,
     trace_distance,
     vacuum_state,
 )
@@ -74,7 +73,6 @@ from .propagator import (
     asymptotic_state,
     coefficients_from_eta,
     markov_coefficients,
-    write_coefficients_csv,
 )
 from .realistic import (
     DecoherenceAngles,

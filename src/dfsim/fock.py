@@ -102,10 +102,6 @@ def number_operator(spec: TruncationSpec, mode: int) -> np.ndarray:
     return op
 
 
-def total_number_operator(spec: TruncationSpec) -> np.ndarray:
-    return np.diag(_occupation_table(spec).sum(axis=1).astype(complex))
-
-
 @dataclass(frozen=True)
 class FockBasisState:
     """A single occupation-number basis ket."""

@@ -36,6 +36,55 @@ def _gauss_legendre(order: int) -> tuple:
     return nodes, weights
 
 
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def spectral_density_errors(data) -> list[str]:
+    """Problems that keep ``SpectralDensity.from_dict`` from reading ``data``,
+    each naming its key; empty means it reads.
+
+    Ohmic: a number amplitude >= 0, a number cutoff > 0, an optional integer
+    order >= 2 and an optional number span > 0.  Discrete: a non-empty list
+    of modes, each an object with a number omega and a coupling that is a
+    number or an [re, im] pair of numbers.
+    """
+    if not (isinstance(data, dict) and data.get("type") in SPECTRAL_DENSITY_TYPES):
+        return [f"type must be one of {SPECTRAL_DENSITY_TYPES}"]
+    errors = []
+    if data["type"] == "ohmic":
+        if not (_is_number(data.get("amplitude")) and data["amplitude"] >= 0):
+            errors.append("amplitude must be a number >= 0")
+        if not (_is_number(data.get("cutoff")) and data["cutoff"] > 0):
+            errors.append("cutoff must be a number > 0")
+        order = data.get("order", 2)
+        if not (isinstance(order, int) and not isinstance(order, bool) and order >= 2):
+            errors.append("order must be an integer >= 2")
+        span = data.get("span", 1.0)
+        if not (_is_number(span) and span > 0):
+            errors.append("span must be a number > 0")
+        return errors
+    modes = data.get("modes")
+    if not (isinstance(modes, list) and modes and all(isinstance(m, dict) for m in modes)):
+        return ["modes must be a non-empty list of objects"]
+    for n, mode in enumerate(modes):
+        if not _is_number(mode.get("omega")):
+            errors.append(f"modes[{n}].omega must be a number")
+        coupling = mode.get("coupling")
+        pair = (
+            isinstance(coupling, list)
+            and len(coupling) == 2
+            and all(_is_number(c) for c in coupling)
+        )
+        if not (_is_number(coupling) or pair):
+            errors.append(f"modes[{n}].coupling must be a number or a list of two numbers")
+    return errors
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Bath description as mode frequencies and coupling weights |c_k|^2."""

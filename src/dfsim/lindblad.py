@@ -15,13 +15,24 @@ advanced exactly when its occupied blocks fit ``EXACT_MAX_ENTRIES``.  Every
 generator built here conserves k = N_ket - N_bra, the difference of total
 excitation numbers on the two sides of rho (Buca & Prosen, New J. Phys. 14,
 073007 (2012)), so its superoperator is block diagonal over k and only the
-blocks on which rho(0) has support are needed: one ``exp(L_k dt)`` per
-occupied block and distinct sample interval, one matrix-vector product per
-block and sample.  A generator that does not conserve k is one block, the
-whole d^2-entry space.  When the blocks hold more than ``EXACT_MAX_ENTRIES``
-entries in all, the exponentials cost more than they save, so the engine is
-fixed-step RK4, as it is for time-dependent generators and whenever the
-caller sets ``max_step``, ``richardson`` or ``renormalize``.
+blocks on which rho(0) has support are needed.  A generator that does not
+conserve k is one block, the whole d^2-entry space.  Each block L_k is
+built once and advanced by whichever exact path costs fewer
+matrix-vector products:
+
+* the propagator path: one ``exp(L_k dt)`` per distinct sample interval
+  (Taylor scaling and squaring, about (degree + squarings) block matmuls),
+  then one matrix-vector product per sample.  Small blocks sampled often
+  (6 entries, 100 intervals of a two-mode one-photon run) take it;
+* the action path: the Taylor series of ``exp(L_k dt)`` applied to the
+  block's vector, s m matrix-vector products per interval and no n x n
+  exponential (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+  Large blocks sampled a few times (a one-photon input at d = 49: a
+  231-entry block, 10 intervals) take it.
+
+When the blocks hold more than ``EXACT_MAX_ENTRIES`` entries in all, the
+engine is fixed-step RK4, as it is for time-dependent generators and
+whenever the caller sets ``max_step``, ``richardson`` or ``renormalize``.
 """
 
 from __future__ import annotations
@@ -49,15 +60,19 @@ from .tableio import render_columns, write_text
 
 STEP_GUARD = 0.1
 
-# Budget of the exact engine: the exponentiated blocks may hold at most this
-# many complex entries in all (5.3 MB each), the size of a whole d = 24
-# superoperator.  A one-photon input at d = 49 occupies one 231-entry block
-# (53361 entries) where the whole superoperator would need 92 MB.
+# Budget of the exact engine: the blocks may hold at most this many complex
+# entries in all (5.3 MB), the size of a whole d = 24 superoperator.  A
+# one-photon input at d = 49 occupies one 231-entry block (53361 entries)
+# where the whole superoperator would need 92 MB.
 EXACT_MAX_ENTRIES = 24**4
 
 # Intervals whose lengths agree to this relative tolerance share one
 # propagator, so a linspace grid needs a single exponential.
 _SPAN_RTOL = 1e-12
+
+# Largest 1-norm of t a over one step of ``_expm_action``: rounding in the
+# series grows like e^(2x) at x = ||t a||_1, so at most e^5 ~ 150 ulps.
+_ACTION_STEP_NORM = 2.5
 
 
 @dataclass(frozen=True)
@@ -134,7 +149,12 @@ class LindbladGenerator:
         return out
 
     def to_matrix(self, t: float = 0.0, indices=None) -> np.ndarray:
-        """Dense superoperator on row-major vectorized density matrices.
+        """Dense superoperator on row-major vectorized density matrices,
+
+            kron(K, I) + kron(I, J^T) + sum_ij 2 g_ij kron(L_i, conj(L_j)),
+
+        with the sink S = sum_ij g_ij L_j^dag L_i folded into K = -i H - S
+        (acting from the left) and J = i H - S (acting from the right).
 
         With ``indices`` (positions in ``rho.reshape(-1)``) only the block on
         those entries is built, without forming the d^4 matrix: entry
@@ -154,18 +174,19 @@ class LindbladGenerator:
         ham = self.hamiltonian
         if shift != 0.0 and self.shift_operator is not None:
             ham = ham + shift * self.shift_operator
-        lio = -1j * (kron(ham, eye) - kron(eye, ham.T))
-        m = len(self.jump_operators)
-        for i in range(m):
-            for j in range(m):
-                g = gamma[i, j]
-                if g == 0:
-                    continue
-                li = self.jump_operators[i]
-                ldj = self._jump_daggers[j]
-                pij = self._pair_products[i][j]
-                lio = lio + 2.0 * g * kron(li, ldj.T)
-                lio = lio - g * (kron(pij, eye) + kron(eye, pij.T))
+        pairs = [
+            (i, j, gamma[i, j])
+            for i in range(len(self.jump_operators))
+            for j in range(len(self.jump_operators))
+            if gamma[i, j] != 0
+        ]
+        sink = np.zeros_like(ham)
+        for i, j, g in pairs:
+            sink += g * self._pair_products[i][j]
+        lio = kron(-1j * ham - sink, eye)
+        lio += kron(eye, (1j * ham - sink).T)
+        for i, j, g in pairs:
+            lio += (2.0 * g) * kron(self.jump_operators[i], self._jump_daggers[j].T)
         return lio
 
     def norm_estimate(self) -> float:
@@ -358,7 +379,7 @@ class PropagationResult:
 
     ``engine`` names the integrator that produced them: ``"exact"`` or
     ``"rk4"``.  ``sector_sizes`` gives the sizes of the blocks the exact
-    engine exponentiated, largest first; it is empty under RK4.
+    engine advanced, largest first; it is empty under RK4.
     """
 
     times: np.ndarray
@@ -385,27 +406,56 @@ class PropagationResult:
         write_text(path, self.to_csv_text(observables))
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring with a Taylor series (Moler & Van Loan,
-    SIAM Rev. 45, 3 (2003)).
+def _taylor_degree(x: float) -> int:
+    """Smallest degree m with x^(m+1)/(m+1)! e^(2x) <= 2^-53.
 
-    a is halved s times until its 1-norm x is at most 1, the series is cut
-    at the smallest degree m with x^(m+1)/(m+1)! e^(2x) <= 2^-53 and summed
-    by Horner's rule, and the result is squared s times.  Besides the input
-    it holds three arrays of its size.  A non-finite input gives a NaN
-    matrix.
+    The Taylor polynomial of degree m then gives exp(a) for ||a||_1 <= x to
+    double precision relative to ||exp(a)|| >= e^-x.  x must be finite: the
+    loop would not end for x = inf.
     """
-    norm = float(np.linalg.norm(a, 1))
-    if not math.isfinite(norm):
-        return np.full(a.shape, np.nan, dtype=complex)
-    squarings = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
-    x = norm / 2.0**squarings
+    if not math.isfinite(x):
+        raise ValueError(f"Taylor degree of a non-finite norm {x}")
     tol = 2.0**-53 * math.exp(-2.0 * x)
     degree, remainder = 0, x  # remainder = x^(m+1) / (m+1)! at degree m
     while remainder > tol:
         degree += 1
         remainder *= x / (degree + 1)
-    scaled = a / 2.0**squarings
+    return degree
+
+
+def _expm_plan(x: float) -> tuple:
+    """(squarings, degree) of ``_expm`` for a matrix of 1-norm x: halve
+    until the norm is at most 1, then the Taylor degree there."""
+    squarings = max(0, math.ceil(math.log2(x))) if x > 0 else 0
+    return squarings, _taylor_degree(x / 2.0**squarings)
+
+
+def _action_plan(x: float) -> tuple:
+    """(steps, degree) of ``_expm_action`` for a matrix of 1-norm x.
+
+    The series terms of one step can reach e^(x/s) ||v|| while its result
+    may be as small as e^(-x/s) ||v||, so rounding grows like e^(2x/s);
+    steps are capped at x/s <= ``_ACTION_STEP_NORM``.  Below the cap s * m
+    falls as x/s grows, so the fewest such steps (nearly) minimise it.
+    """
+    steps = max(1, math.ceil(x / _ACTION_STEP_NORM))
+    return steps, _taylor_degree(x / steps)
+
+
+def _expm(a: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(t a) by scaling and squaring with a Taylor series (Moler & Van
+    Loan, SIAM Rev. 45, 3 (2003)).
+
+    t a is halved s times until its 1-norm x is at most 1, the series is cut
+    at ``_taylor_degree(x)`` and summed by Horner's rule, and the result is
+    squared s times.  Besides the input it holds three arrays of its size.
+    A non-finite norm gives a NaN matrix.
+    """
+    norm = float(np.linalg.norm(a, 1)) * t
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan, dtype=complex)
+    squarings, degree = _expm_plan(norm)
+    scaled = a * (t / 2.0**squarings)
     out = np.eye(a.shape[0], dtype=complex)
     work = np.empty_like(out)
     for j in range(degree, 0, -1):
@@ -417,6 +467,28 @@ def _expm(a: np.ndarray) -> np.ndarray:
         np.matmul(out, out, out=work)
         out, work = work, out
     return out
+
+
+def _expm_action(a: np.ndarray, v: np.ndarray, t: float = 1.0, norm=None) -> np.ndarray:
+    """exp(t a) @ v without forming exp(t a) (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)): s steps of the Taylor series to degree m
+    (``_action_plan``), s m matrix-vector products.  ``norm`` is ||a||_1 if
+    the caller has it.  A non-finite ||t a||_1 gives a NaN vector.
+    """
+    if norm is None:
+        norm = float(np.linalg.norm(a, 1))
+    x = norm * t
+    if not math.isfinite(x):
+        return np.full(v.shape, np.nan, dtype=complex)
+    steps, degree = _action_plan(x)
+    h = t / steps
+    for _ in range(steps):
+        term, v = v, v.copy()
+        for j in range(1, degree + 1):
+            term = a @ term
+            term *= h / j
+            v += term
+    return v
 
 
 def _charge(op: np.ndarray, number: np.ndarray) -> Optional[int]:
@@ -461,26 +533,53 @@ def _sectors(generator: LindbladGenerator, rho: np.ndarray) -> list:
     return [np.flatnonzero(k == value) for value in occupied]
 
 
+def _uses_action(norm: float, size: int, lengths, counts) -> bool:
+    """Whether a block of 1-norm ``norm`` and ``size`` entries is cheaper to
+    advance by ``_expm_action`` than by one ``_expm`` per distinct interval
+    length, counted in matrix-vector products: s m per interval against
+    (degree + squarings) n per length.  Blocks with a non-finite norm take
+    ``_expm``, which turns them into NaN without a degree loop."""
+    spans = [norm * length for length in lengths]
+    if not all(math.isfinite(x) for x in spans):
+        return False
+    action = sum(c * math.prod(_action_plan(x)) for c, x in zip(counts, spans))
+    powers = sum(sum(_expm_plan(x)) for x in spans) * size
+    return action < powers
+
+
 def _exact_samples(generator, rho, times, sectors):
-    """Yield the state at each later sample time.  Each block keeps one
-    exponential per distinct interval length and advances by one
-    matrix-vector product per sample on its entries of the row-major
-    vectorized state; entries outside every block stay zero.  The generator
-    block is built afresh for each exponential and not kept, which bounds
-    the memory held at once to the exponential's working arrays."""
+    """Yield the state at each later sample time.  Each block is built once
+    and advanced on its entries of the row-major vectorized state by the
+    path ``_uses_action`` picks; entries outside every block stay zero."""
+    spans = np.diff(times)
+    lengths, which = [], []  # distinct lengths; each interval's index into them
+    for span in spans:
+        for k, length in enumerate(lengths):
+            if abs(span - length) <= _SPAN_RTOL * length:
+                break
+        else:
+            k = len(lengths)
+            lengths.append(span)
+        which.append(k)
+    counts = np.bincount(which)
     flat = rho.reshape(-1)
     parts = [flat[indices] for indices in sectors]
-    known = [[] for _ in sectors]  # per block: (interval length, propagator)
-    for span in np.diff(times):
+    blocks = [generator.to_matrix(indices=indices) for indices in sectors]
+    norms = [float(np.linalg.norm(block, 1)) for block in blocks]
+    action = [
+        _uses_action(norm, block.shape[0], lengths, counts)
+        for norm, block in zip(norms, blocks)
+    ]
+    known = [{} for _ in sectors]  # per block: length index -> propagator
+    for span, k in zip(spans, which):
         vec = np.zeros_like(flat)
         for n, indices in enumerate(sectors):
-            for length, prop in known[n]:
-                if abs(span - length) <= _SPAN_RTOL * length:
-                    break
+            if action[n]:
+                parts[n] = _expm_action(blocks[n], parts[n], span, norms[n])
             else:
-                prop = _expm(generator.to_matrix(indices=indices) * span)
-                known[n].append((span, prop))
-            parts[n] = prop @ parts[n]
+                if k not in known[n]:
+                    known[n][k] = _expm(blocks[n], lengths[k])
+                parts[n] = known[n][k] @ parts[n]
             vec[indices] = parts[n]
         yield vec.reshape(rho.shape)
 
@@ -530,12 +629,17 @@ def propagate(
     Engine selection (reported as ``PropagationResult.engine``):
 
     * ``"exact"`` when no option is set, the generator is constant and the
-      blocks it must exponentiate hold at most ``EXACT_MAX_ENTRIES``
+      blocks it must advance hold at most ``EXACT_MAX_ENTRIES``
       entries in all.  The blocks are the sectors of k = N_ket - N_bra on
       which ``rho0`` has support when the generator conserves k, else the
-      whole vectorized space.  Each block L_k gets ``exp(L_k dt)`` once per
-      distinct interval length (lengths equal to 1e-12 relative share one)
-      and one matrix-vector product per sample.
+      whole vectorized space.  Each block L_k of n entries is built once
+      and takes the cheaper of two exact paths, counted in matrix-vector
+      products: the Taylor action (s steps of degree m per interval, with
+      ||L_k dt||_1 / s <= 2.5) when the intervals' s m add up to less than
+      (degree + squarings) n over the distinct interval lengths; otherwise
+      ``exp(L_k dt)`` once per distinct interval length (lengths equal to
+      1e-12 relative share one) and one matrix-vector product per sample.
+      Both cut the Taylor series at the same double-precision bound.
     * ``"rk4"`` otherwise: fixed-step classical RK4.  The internal step
       honors the stability guard h * ||L|| < 0.1 based on a spectral-norm
       estimate; an explicit ``max_step`` that violates the guard raises
@@ -547,7 +651,7 @@ def propagate(
     Both engines raise ``DivergenceError`` at the first non-finite sample and
     report the trace error and the smallest eigenvalue of the Hermitian part
     of every full d x d sample.  ``PropagationResult.sector_sizes`` lists the
-    sizes of the exponentiated blocks, largest first (empty under RK4).
+    sizes of the advanced blocks, largest first (empty under RK4).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):

@@ -27,7 +27,7 @@ from .fock import (
     ladder_operator,
     one_photon_vector,
 )
-from .tableio import render_csv, write_text
+from .tableio import render_csv
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,3 @@ def coefficients_to_csv_text(coeff_list) -> str:
         for c in coeff_list
     )
     return render_csv(header, rows)
-
-
-def write_coefficients_csv(path, coeff_list):
-    write_text(path, coefficients_to_csv_text(coeff_list))

@@ -48,7 +48,12 @@ from .fock import (
     one_photon_vector,
     purity,
 )
-from .kernel import KERNEL_SIGNS, SPECTRAL_DENSITY_TYPES, SpectralDensity, solve_kernel
+from .kernel import (
+    KERNEL_SIGNS,
+    SpectralDensity,
+    solve_kernel,
+    spectral_density_errors,
+)
 from .lindblad import (
     build_bm_generator,
     build_realistic_generator,
@@ -166,11 +171,10 @@ def validate_config(cfg) -> list[str]:
         if "spectral_density" not in params and "coupling" not in params:
             errors.append("nonmarkovian_two needs params.spectral_density or params.coupling")
         density = params.get("spectral_density")
-        if density is not None and not (
-            isinstance(density, dict) and density.get("type") in SPECTRAL_DENSITY_TYPES
-        ):
-            errors.append(
-                f"params.spectral_density.type must be one of {SPECTRAL_DENSITY_TYPES}"
+        if density is not None:
+            errors.extend(
+                f"params.spectral_density.{problem}"
+                for problem in spectral_density_errors(density)
             )
         points = params.get("kernel_points", 10001)
         if not (_is_int(points) and points >= 3):

@@ -37,16 +37,8 @@ def render_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, header, rows):
-    """Write atomically: a partial file never appears under the final name."""
-    text = render_csv(header, rows)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_text(path, text: str):
+    """Write atomically: a partial file never appears under the final name."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", newline="\n") as fh:
         fh.write(text)

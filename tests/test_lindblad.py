@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,12 +26,16 @@ from dfsim.fock import (
     trace_distance,
     vacuum_state,
 )
+from dfsim import lindblad
 from dfsim.kernel import MemoryKernelSolution
 from dfsim.lindblad import (
     STEP_GUARD,
     LindbladGenerator,
+    _ACTION_STEP_NORM,
     _expm,
+    _expm_action,
     _sectors,
+    _taylor_degree,
     build_bm_generator,
     build_realistic_generator,
     build_time_dependent_generator,
@@ -380,14 +386,39 @@ def test_expm_large_skew_hermitian_stays_unitary():
     assert np.max(np.abs(unitary.conj().T @ unitary - np.eye(8))) < 1e-12
 
 
-def _kron_superoperator(gen, t=0.0):
-    """The superoperator written with np.kron over the whole space, as the
-    reference for ``to_matrix``."""
+def _hamiltonian_at(gen, t):
     shift, gamma = gen.coefficients(t)
-    eye = np.eye(gen.spec.dim)
     ham = gen.hamiltonian
     if shift != 0.0 and gen.shift_operator is not None:
         ham = ham + shift * gen.shift_operator
+    return ham, gamma
+
+
+def _kron_superoperator(gen, t=0.0):
+    """The superoperator written with np.kron over the whole space, with the
+    sink folded into K = -iH - S and J = iH - S, as the bitwise reference for
+    ``to_matrix``."""
+    ham, gamma = _hamiltonian_at(gen, t)
+    eye = np.eye(gen.spec.dim)
+    pairs = [
+        (li, lj, gamma[i, j])
+        for i, li in enumerate(gen.jump_operators)
+        for j, lj in enumerate(gen.jump_operators)
+        if gamma[i, j] != 0
+    ]
+    sink = np.zeros_like(ham)
+    for li, lj, g in pairs:
+        sink = sink + g * (lj.conj().T @ li)
+    lio = np.kron(-1j * ham - sink, eye) + np.kron(eye, (1j * ham - sink).T)
+    for li, lj, g in pairs:
+        lio = lio + 2.0 * g * np.kron(li, lj.conj())
+    return lio
+
+
+def _textbook_superoperator(gen, t=0.0):
+    """The unfolded sum, one np.kron per term of the master equation."""
+    ham, gamma = _hamiltonian_at(gen, t)
+    eye = np.eye(gen.spec.dim)
     lio = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
     for i, li in enumerate(gen.jump_operators):
         for j, lj in enumerate(gen.jump_operators):
@@ -446,6 +477,8 @@ def test_to_matrix_block_is_slice_of_full(name):
     gen, t = _generators()[name]
     full = gen.to_matrix(t)
     assert np.array_equal(full, _kron_superoperator(gen, t))
+    textbook = _textbook_superoperator(gen, t)
+    assert np.max(np.abs(full - textbook)) <= 1e-14 * np.max(np.abs(textbook))
     rho = random_density_matrix(np.random.default_rng(4), gen.spec)
     blocks = [] if gen.is_time_dependent else _sectors(gen, rho.matrix)
     scattered = np.random.default_rng(5).permutation(full.shape[0])[:23]
@@ -560,6 +593,107 @@ def test_exact_engine_divergence_detected():
         propagate(gen, fock_state(spec, (1,)), np.linspace(0, 100.0, 11))
     assert info.value.time is not None
     assert np.all(np.isnan(_expm(np.array([[np.inf]], dtype=complex))))
+
+
+
+# -- Taylor action ---------------------------------------------------------------
+
+
+def _non_normal(rng, n, norm):
+    # upper Hessenberg, complex: far from normal
+    a = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.5, 2.0, 7.0, 30.0])
+def test_expm_action_matches_expm(norm):
+    rng = np.random.default_rng(int(1e3 * norm))
+    v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    for a in (
+        _non_normal(rng, 20, norm),
+        # strongly damped: exp(a) v is small while the series terms are not,
+        # the case the step cap of the action exists for
+        _non_normal(rng, 20, 0.2 * norm) - 0.8 * norm * np.eye(20),
+    ):
+        expected = _expm(a) @ v
+        out = _expm_action(a, v)
+        assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+        # the time argument scales the matrix, with or without a known norm
+        half = _expm_action(a, v, 0.5, np.linalg.norm(a, 1))
+        assert np.allclose(half, _expm(a, 0.5) @ v, rtol=1e-13, atol=0.0)
+
+
+def test_expm_action_of_zero_leaves_vector_unchanged():
+    v = np.array([1.0 + 2.0j, -3.0, 0.5j, 1e-300])
+    assert np.array_equal(_expm_action(np.zeros((4, 4), dtype=complex), v, 7.0), v)
+
+
+def test_non_finite_norms_never_reach_the_degree_loop():
+    with pytest.raises(ValueError):
+        _taylor_degree(math.inf)
+    a = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
+    assert np.all(np.isnan(_expm_action(a, np.ones(2, dtype=complex))))
+    assert np.all(np.isnan(_expm(np.ones((2, 2)), math.inf)))
+
+
+def _one_photon_d49():
+    spec = TruncationSpec(2, 6)
+    gen = build_bm_generator(
+        RateModel((1.1, 0.7), thermal_occupation=0.08), spec, omega=1.5
+    )
+    return gen, one_photon_state(ModeVector.from_angles(0.7, 1.9), spec)
+
+
+def _count_expm(monkeypatch):
+    calls = []
+
+    def counted(a, t=1.0):
+        calls.append(a.shape[0])
+        return _expm(a, t)
+
+    monkeypatch.setattr(lindblad, "_expm", counted)
+    return calls
+
+
+def test_exact_path_choice(monkeypatch):
+    calls = _count_expm(monkeypatch)
+    gen, rho0 = _one_photon_d49()
+    res = propagate(gen, rho0, np.linspace(0.0, 0.2, 11))
+    assert (res.engine, res.sector_sizes, calls) == ("exact", (231,), [])
+    # small blocks sampled often: one exponential per block, then matvecs
+    spec = TruncationSpec(2, 1)
+    gen = build_realistic_generator(
+        RateModel((1.0, 1.2), cross_rate=0.9), 1.0, 1.0, spec
+    )
+    rho0 = random_density_matrix(np.random.default_rng(6), spec)
+    res = propagate(gen, rho0, np.linspace(0.0, 1.0, 101))
+    assert res.engine == "exact"
+    assert sorted(calls, reverse=True) == list(res.sector_sizes)
+
+
+def test_action_path_matches_rk4_at_d49(monkeypatch):
+    calls = _count_expm(monkeypatch)
+    gen, rho0 = _one_photon_d49()
+    # the last interval is long enough to take two steps
+    times = np.array([0.0, 0.004, 0.01, 0.013, 0.02, 0.08])
+    exact = propagate(gen, rho0, times)
+    rk4 = propagate(gen, rho0, times, max_step=0.5 * STEP_GUARD / gen.norm_estimate())
+    assert (exact.engine, exact.sector_sizes, calls) == ("exact", (231,), [])
+    (block,) = _sectors(gen, rho0.matrix)
+    assert np.linalg.norm(gen.to_matrix(indices=block), 1) * 0.06 > _ACTION_STEP_NORM
+    for a, b in zip(exact.states, rk4.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-9
+
+
+def test_action_path_divergence_at_first_sample():
+    gen, rho0 = _one_photon_d49()
+    ham = np.array(gen.hamiltonian)
+    ham[1, 1] = np.inf
+    broken = LindbladGenerator(gen.spec, ham, gen.jump_operators, gen.kossakowski)
+    times = np.linspace(0.0, 0.2, 11)
+    with pytest.raises(DivergenceError) as info:
+        propagate(broken, rho0, times)
+    assert info.value.time == times[1]
 
 
 def test_engine_selection():

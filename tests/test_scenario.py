@@ -348,6 +348,28 @@ def _kernel_param(key, value):
     return build
 
 
+def _spectral_density(**changes):
+    # a runnable Ohmic (or, with modes, discrete) config with one entry broken
+    def build():
+        if "modes" in changes:
+            density = {"type": "discrete"}
+        else:
+            density = {"type": "ohmic", "amplitude": 0.02, "cutoff": 5.0, "order": 40}
+        for key, value in changes.items():
+            if value is None:
+                del density[key]
+            else:
+                density[key] = value
+        return {
+            "model": "nonmarkovian_two",
+            "params": {"spectral_density": density, "kernel_points": 101},
+            "initial_state": {"occupations": [1, 0]},
+            "time": {"t_max": 1.0, "steps": 11},
+        }
+
+    return build
+
+
 def _sweep_over_missing_key():
     cfg = base_markovian()
     cfg["sweep"] = {"parameter": "params.delta_kk", "values": [0.1, 0.2]}
@@ -367,6 +389,16 @@ def _sweep_over_missing_key():
         (_kernel_param("kernel_sign", "bogus"), "params.kernel_sign"),
         (_kernel_param("kernel_substeps", 0), "params.kernel_substeps"),
         (_kernel_param("kernel_substeps", "x"), "params.kernel_substeps"),
+        (_spectral_density(order=1), "params.spectral_density.order"),
+        (_spectral_density(order="40"), "params.spectral_density.order"),
+        (_spectral_density(amplitude=-0.1), "params.spectral_density.amplitude"),
+        (_spectral_density(cutoff=0), "params.spectral_density.cutoff"),
+        (_spectral_density(cutoff=None), "params.spectral_density.cutoff"),
+        (_spectral_density(span=0.0), "params.spectral_density.span"),
+        (_spectral_density(modes=[{"omega": 1.0}]), "modes[0].coupling"),
+        (_spectral_density(modes=[{"coupling": [0.3]}]), "modes[0].omega"),
+        (_spectral_density(modes=5), "params.spectral_density.modes"),
+        (_spectral_density(modes=[]), "params.spectral_density.modes"),
     ],
     ids=[
         "occupations",
@@ -379,6 +411,16 @@ def _sweep_over_missing_key():
         "kernel_sign",
         "kernel_substeps_0",
         "kernel_substeps_string",
+        "ohmic_order_1",
+        "ohmic_order_string",
+        "ohmic_negative_amplitude",
+        "ohmic_cutoff_0",
+        "ohmic_missing_cutoff",
+        "ohmic_span_0",
+        "discrete_missing_coupling",
+        "discrete_missing_omega",
+        "discrete_modes_not_a_list",
+        "discrete_no_modes",
     ],
 )
 def test_config_defects_exit_2(tmp_path, capsys, build, message):
