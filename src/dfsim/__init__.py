@@ -55,7 +55,6 @@ from .kernel import (
     solve_amplitude,
     solve_kernel,
     thermal_injection_rate,
-    with_rates,
 )
 from .lindblad import (
     LindbladGenerator,

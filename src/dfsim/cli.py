@@ -99,6 +99,7 @@ def main(argv=None) -> int:
         StepSizeError,
         TruncationOverflowError,
         ExceptionalPointError,
+        OverflowError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -7,7 +7,6 @@ artifact in the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -220,37 +219,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, spec={self.spec})"
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        entries = [[float(z.real), float(z.imag)] for z in self.matrix.ravel()]
-        return {
-            "dim": self.dim,
-            "spec": {
-                "num_modes": self.spec.num_modes,
-                "max_excitation_per_mode": self.spec.max_excitation,
-            },
-            "entries": entries,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        spec = TruncationSpec(
-            num_modes=int(data["spec"]["num_modes"]),
-            max_excitation=int(data["spec"]["max_excitation_per_mode"]),
-        )
-        if int(data["dim"]) != spec.dim:
-            raise ValueError("dim field inconsistent with spec")
-        flat = np.array([complex(re, im) for re, im in data["entries"]])
-        return cls(spec, flat.reshape(spec.dim, spec.dim))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix":
-        return cls.from_json_dict(json.loads(text))
 
 
 # -- state constructors ----------------------------------------------------

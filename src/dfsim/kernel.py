@@ -297,11 +297,6 @@ def extract_rates(solution: MemoryKernelSolution) -> tuple[np.ndarray, np.ndarra
     return damping, shift
 
 
-def with_rates(solution: MemoryKernelSolution) -> MemoryKernelSolution:
-    damping, shift = extract_rates(solution)
-    return replace(solution, damping=damping, frequency_shift=shift)
-
-
 def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
     out = np.zeros(values.shape[-1], dtype=values.dtype)
     out[1:] = np.cumsum(0.5 * (values[..., 1:] + values[..., :-1]), axis=-1) * h

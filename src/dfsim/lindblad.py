@@ -658,6 +658,8 @@ def propagate(
         raise ValueError("times must be a strictly increasing grid")
     if rho0.spec != generator.spec:
         raise ValueError("initial state and generator live on different spaces")
+    if max_step is not None and not max_step > 0:
+        raise ValueError(f"max_step must be positive, got {max_step}")
     rho = np.array(rho0.matrix, dtype=complex)
     options_set = max_step is not None or richardson or renormalize
     sectors = []

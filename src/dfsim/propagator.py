@@ -27,7 +27,6 @@ from .fock import (
     ladder_operator,
     one_photon_vector,
 )
-from .tableio import render_csv
 
 
 @dataclass(frozen=True)
@@ -247,13 +246,3 @@ def asymptotic_state(k1: float, k2: float, alpha: float, phi: float) -> Asymptot
     ) / denom
     weight = float(abs(overlap) ** 2)
     return AsymptoticResult(mode=mode, weight=weight, fidelity_infinity=weight**2)
-
-
-def coefficients_to_csv_text(coeff_list) -> str:
-    header = ["time", "thermal_weight", "re_damping_exponent", "im_damping_exponent", "emission_weight"]
-    rows = (
-        [c.time, c.thermal_weight, c.damping_exponent.real, c.damping_exponent.imag,
-         c.emission_weight]
-        for c in coeff_list
-    )
-    return render_csv(header, rows)

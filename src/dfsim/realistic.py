@@ -20,8 +20,6 @@ from .errors import ExceptionalPointError
 from .fock import DensityMatrix, ModeVector, TruncationSpec, one_photon_vector
 from .tableio import render_columns, write_text
 
-LOW_CONFIDENCE_FIELDS = ("noise_a", "noise_b", "cross_noise")
-
 
 def _structure_constants(k1, k2, k3, omega1, omega2):
     mean_decay = 0.5 * (k2 + k1) + 0.5j * (omega2 + omega1)
@@ -38,14 +36,7 @@ def _structure_constants(k1, k2, k3, omega1, omega2):
 
 @dataclass(frozen=True)
 class TransferCoefficients:
-    """Scalar trajectories of the factorized two-mode evolution map.
-
-    ``noise_a``, ``noise_b`` and ``cross_noise`` are closed forms whose
-    operator placement has no independent cross-check in this package; they
-    are exported for inspection only and excluded from every acceptance gate
-    (see ``low_confidence``).  The one-photon sector never needs them: it is
-    fully determined by the transfer-matrix entries.
-    """
+    """Scalar trajectories of the factorized two-mode evolution map."""
 
     mean_decay: complex
     imbalance: complex
@@ -56,10 +47,6 @@ class TransferCoefficients:
     mixing: np.ndarray
     amp_factor_a: np.ndarray
     amp_factor_b: np.ndarray
-    noise_a: np.ndarray
-    noise_b: np.ndarray
-    cross_noise: np.ndarray
-    low_confidence: tuple = LOW_CONFIDENCE_FIELDS
 
 
 def transfer_coefficients(
@@ -90,16 +77,6 @@ def transfer_coefficients(
         2.0 * splitting
     )
     amp_b = np.exp(-2.0 * mean_decay * times) / amp_a
-    inv_b2 = np.abs(amp_b) ** -2.0
-    noise_b = (1.0 + np.abs(mixing) ** 2) * inv_b2 - 1.0
-    noise_a = (
-        np.abs(1.0 / amp_a + mixing**2 / amp_b) ** 2
-        + np.abs(mixing) ** 2 * inv_b2
-        - 1.0
-    )
-    cross = -mixing / (np.conj(amp_a) * amp_b) - np.conj(mixing) * (
-        1.0 + np.abs(mixing) ** 2
-    ) * inv_b2
     return TransferCoefficients(
         mean_decay=complex(mean_decay),
         imbalance=complex(imbalance),
@@ -110,9 +87,6 @@ def transfer_coefficients(
         mixing=mixing,
         amp_factor_a=amp_a,
         amp_factor_b=amp_b,
-        noise_a=noise_a,
-        noise_b=noise_b,
-        cross_noise=cross,
     )
 
 

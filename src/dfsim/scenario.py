@@ -9,20 +9,23 @@ Three models are supported:
 * ``nonmarkovian_two`` - two degenerate oscillators driven by a memory
   kernel solved from a spectral density.
 
-Fitted rates are reported in the amplitude convention (half the fitted
-population log-slope) so they compare directly with the predicted weak and
-strong decoherence constants.
+Every model runs through one pipeline (``run_scenario``); what differs
+between them is one ``_MODELS`` entry.  Fitted rates are reported in the
+amplitude convention (half the fitted population log-slope) so they compare
+directly with the predicted weak and strong decoherence constants.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from dataclasses import asdict
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .coupling import (
     CouplingModel,
     DeviationParams,
     RateModel,
+    _parse_complex,
     predicted_rates,
     theta_from_rates,
     wd_sd_modes,
@@ -49,10 +53,7 @@ from .fock import (
     purity,
 )
 from .kernel import (
-    KERNEL_SIGNS,
-    SpectralDensity,
-    solve_kernel,
-    spectral_density_errors,
+    KERNEL_SIGNS, SpectralDensity, _is_number, solve_kernel, spectral_density_errors,
 )
 from .lindblad import (
     build_bm_generator,
@@ -60,16 +61,8 @@ from .lindblad import (
     build_time_dependent_generator,
     propagate,
 )
-from .propagator import (
-    apply_superoperator,
-    asymptotic_state,
-    markov_coefficients,
-)
+from .propagator import apply_superoperator, asymptotic_state, markov_coefficients
 from .tableio import render_csv, write_text
-
-MODELS = ("markovian_n", "realistic_two", "nonmarkovian_two")
-
-DEFAULT_MAX_EXCITATION = {"markovian_n": 3, "realistic_two": 1, "nonmarkovian_two": 2}
 
 OBSERVABLE_NAMES = (
     "survival",
@@ -100,21 +93,94 @@ _SUMMARY_SCALARS = (
 # -- validation ---------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_at_least(low):
+    return lambda value: _is_int(value) and value >= low
+
+
+def _pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _square_table(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(row, list) and len(row) == len(value) and all(map(_COMPLEX[0], row))
+        for row in value
+    )
+
+
+def _rates(value) -> bool:
+    return (
+        isinstance(value, list)
+        and all(_is_number(k) and k >= 0 for k in value)
+        and any(k > 0 for k in value)
+    )
+
+
+def _direction(value) -> bool:
+    # the mode vector is normalized by the root of the summed squares
+    return _pair(value) and 0 < value[0] * value[0] + value[1] * value[1] < math.inf
+
+
+def _coupling(value) -> bool:
+    try:
+        _read_coupling(value)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_COMPLEX = (lambda v: _is_number(v) or _pair(v), "a number or an [re, im] pair")
+_MAX_EXCITATION = (_int_at_least(1), "an integer >= 1")
+_WINDOW = (lambda v: _pair(v) and v[0] < v[1], "a [start, end] pair with start < end")
+
+_TIME_RULES = {
+    "t_max": _POSITIVE,
+    "steps": (_int_at_least(2), "an integer >= 2"),
+    "max_step": _POSITIVE,
+}
+_INITIAL_STATE_RULES = {
+    "alpha": _NUMBER,
+    "phi": _NUMBER,
+    "dfs_coeffs": (_square_table, "a square matrix of numbers or [re, im] pairs"),
+}
+_FIT_RULES = {"window": _WINDOW, "strong_window": _WINDOW}
+_REQUIRED = {"time.t_max", "time.steps", "params.rates", "params.k1", "params.k2"}
+
+
+def _check_block(errors, name, block, rules) -> bool:
+    """Check each key of ``block`` against its (predicate, description) rule;
+    False when the block is not an object."""
+    if not isinstance(block, dict):
+        errors.append(f"{name} must be an object")
+        return False
+    for key, (ok, rule) in rules.items():
+        present = key in block
+        if (present and not ok(block[key])) or (not present and f"{name}.{key}" in _REQUIRED):
+            errors.append(f"{name}.{key} must be {rule}")
+    return True
+
+
 def validate_config(cfg) -> list[str]:
     """Return a list of problems; empty means the config is runnable."""
-    errors = []
     if not isinstance(cfg, dict):
         return ["config must be a JSON object"]
+    errors = []
     model = cfg.get("model")
-    if model not in MODELS:
-        errors.append(f"model must be one of {MODELS}, got {model!r}")
+    entry = _MODELS.get(model) if isinstance(model, str) else None
+    if entry is None:
+        errors.append(f"model must be one of {tuple(_MODELS)}, got {model!r}")
     params = cfg.get("params")
-    if not isinstance(params, dict):
-        errors.append("params must be an object")
+    if not _check_block(errors, "params", params, entry.params if entry else {}):
         params = {}
     init = cfg.get("initial_state")
-    if not isinstance(init, dict):
-        errors.append("initial_state must be an object")
+    if not _check_block(errors, "initial_state", init, _INITIAL_STATE_RULES):
+        init = {}
     else:
         forms = [k for k in ("alpha", "occupations", "dfs_coeffs") if k in init]
         if len(forms) != 1:
@@ -122,15 +188,8 @@ def validate_config(cfg) -> list[str]:
                 "initial_state must use exactly one of alpha/phi, occupations, "
                 f"dfs_coeffs (found {forms})"
             )
-    tblock = cfg.get("time")
-    if not isinstance(tblock, dict):
-        errors.append("time must be an object with t_max and steps")
-    else:
-        if not (isinstance(tblock.get("t_max"), (int, float)) and tblock["t_max"] > 0):
-            errors.append("time.t_max must be a positive number")
-        steps = tblock.get("steps")
-        if not (isinstance(steps, int) and steps >= 2):
-            errors.append("time.steps must be an integer >= 2")
+    _check_block(errors, "time", cfg.get("time"), _TIME_RULES)
+    _check_block(errors, "fit", cfg.get("fit", {}), _FIT_RULES)
     outputs = cfg.get("outputs", [])
     if not isinstance(outputs, list):
         errors.append("outputs must be a list of observable names")
@@ -153,50 +212,26 @@ def validate_config(cfg) -> list[str]:
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         errors.append("seed must be an integer")
-    if model == "markovian_n" and isinstance(params, dict):
-        rates = params.get("rates")
-        if not (isinstance(rates, list) and rates and all(
-            isinstance(k, (int, float)) and k >= 0 for k in rates
-        )):
-            errors.append("markovian_n params.rates must be a list of rates >= 0")
-        if not isinstance(params.get("omega", 1.0), (int, float)):
-            errors.append("params.omega must be a number")
-    if model == "realistic_two" and isinstance(params, dict):
-        for key in ("k1", "k2"):
-            if not (isinstance(params.get(key), (int, float)) and params[key] > 0):
-                errors.append(f"realistic_two params.{key} must be positive")
+    if model == "realistic_two":
         if ("k3" in params) == ("delta_k" in params):
             errors.append("realistic_two needs exactly one of params.k3 and params.delta_k")
-    if model == "nonmarkovian_two" and isinstance(params, dict):
+        if ("omega1" in params) != ("omega2" in params):
+            errors.append("realistic_two needs params.omega1 and params.omega2 together")
+    if model == "nonmarkovian_two":
         if "spectral_density" not in params and "coupling" not in params:
             errors.append("nonmarkovian_two needs params.spectral_density or params.coupling")
-        density = params.get("spectral_density")
-        if density is not None:
+        if "spectral_density" in params:
             errors.extend(
                 f"params.spectral_density.{problem}"
-                for problem in spectral_density_errors(density)
+                for problem in spectral_density_errors(params["spectral_density"])
             )
-        points = params.get("kernel_points", 10001)
-        if not (_is_int(points) and points >= 3):
-            errors.append("params.kernel_points must be an integer >= 3")
-        if params.get("kernel_sign", "conjugate") not in KERNEL_SIGNS:
-            errors.append(f"params.kernel_sign must be one of {KERNEL_SIGNS}")
-        substeps = params.get("kernel_substeps", 1)
-        if not (_is_int(substeps) and substeps >= 1):
-            errors.append("params.kernel_substeps must be an integer >= 1")
-    if model in MODELS and isinstance(params, dict):
-        max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION[model])
-        if not (_is_int(max_exc) and max_exc >= 1):
-            errors.append("params.max_excitation must be an integer >= 1")
-        elif isinstance(init, dict) and "occupations" in init:
+    if entry is not None:
+        max_exc = params.get("max_excitation", entry.max_excitation)
+        if _is_int(max_exc) and max_exc >= 1 and "occupations" in init:
             errors.extend(
                 _occupation_errors(init["occupations"], _num_modes(model, params), max_exc)
             )
     return errors
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _num_modes(model, params) -> Optional[int]:
@@ -243,7 +278,7 @@ def validate_report(report) -> list[str]:
     errors = []
     if not isinstance(report, dict):
         return ["report must be an object"]
-    if report.get("model") not in MODELS:
+    if report.get("model") not in tuple(_MODELS):
         errors.append("report.model missing or unknown")
     diag = report.get("diagnostics")
     if not isinstance(diag, dict):
@@ -268,31 +303,233 @@ def validate_report(report) -> list[str]:
     return errors
 
 
-# -- model construction -------------------------------------------------------
+# -- the models ---------------------------------------------------------------
 
 
-class _Run:
-    """Everything one scenario execution produces, before serialization."""
+class _Setup(NamedTuple):
+    """What a model's builder hands the pipeline."""
 
-    def __init__(self):
-        self.times = None
-        self.result = None
-        self.observables = {}
-        self.analytic_states = None
-        self.analytic_deviation = None
-        self.fitted = {}
-        self.predicted = {}
-        self.eigen = None
-        self.mode_split = None
-        self.asymptotic = None
-        self.analytic_skipped_reason = None
-        self.kernel_solution = None
-        self.extras = {}
+    spec: TruncationSpec
+    generator: object
+    theta: Optional[float]  # angle of the protected mode for dfs_coeffs states
+    modes: dict  # "collective", "weak", "strong" -> ModeVector or None
+    values: dict  # the model's numbers, read by its predictions and check
+    kernel: object = None  # MemoryKernelSolution, written to kernel.csv
 
 
-def _initial_state(cfg, spec, theta) -> tuple[DensityMatrix, Optional[tuple]]:
+class _Model(NamedTuple):
+    """Everything model-specific in a scenario run."""
+
+    build: Callable  # (params, max_excitation, t_max) -> _Setup
+    params: dict  # params key -> (predicate, description)
+    predicted: Callable  # _Setup.values -> {rate name: rate}
+    # (report key, observable, fit key, rate name, start, end) per fit; the
+    # default window is [start, end] / predicted[rate name], cut at t_max
+    fits: list
+    check: Optional[Callable]  # (setup, rho0, angles, times, stack) -> report fields
+    max_excitation: int
+    outputs: Callable  # TruncationSpec -> default observable names
+
+
+def _build_markovian(params, max_exc, t_max) -> _Setup:
+    rates = tuple(float(k) for k in params["rates"])
+    omega = float(params.get("omega", 1.0))
+    nbar = float(params.get("nbar", 0.0))
+    spec = TruncationSpec(len(rates), max_exc)
+    model = RateModel(rates, thermal_occupation=nbar)
+    theta = weak = strong = None
+    if len(rates) == 2 and rates[0] > 0:
+        theta = theta_from_rates(rates[0], rates[1])
+        if rates[1] > 0:
+            weak, strong = wd_sd_modes(rates[0], rates[1], 0.0)
+    collective = ModeVector.from_amplitudes(np.sqrt(np.asarray(rates)))
+    modes = {"collective": collective, "weak": weak, "strong": strong}
+    values = {"rates": rates, "omega": omega, "nbar": nbar, "total": model.total_rate}
+    return _Setup(spec, build_bm_generator(model, spec, omega=omega), theta, modes, values)
+
+
+def _markovian_check(setup, rho0, angles, times, stack) -> dict:
+    rates, nbar = setup.values["rates"], setup.values["nbar"]
+    if setup.spec.num_modes != 2 or rates[0] <= 0:
+        return {}
+    k1, k2 = rates
+    coefficients = (markov_coefficients(k1, k2, nbar, setup.values["omega"], t) for t in times)
+    analytic = [apply_superoperator(c, rho0) for c in coefficients]
+    deviation = max(float(np.max(np.abs(a.matrix - s))) for a, s in zip(analytic, stack))
+    out = {"analytic_numeric_max_deviation": deviation}
+    if angles is not None and nbar == 0.0:
+        limit = asymptotic_state(k1, k2, angles[0], angles[1])
+        out["asymptotic"] = {
+            "weight_predicted": limit.weight,
+            "fidelity_infinity_predicted": limit.fidelity_infinity,
+            "weight_measured": mode_population(analytic[-1], limit.mode),
+            "fidelity_measured": fidelity(rho0, analytic[-1]),
+        }
+    return out
+
+
+def _build_realistic(params, max_exc, t_max) -> _Setup:
+    k1 = float(params["k1"])
+    k2 = float(params["k2"])
+    if "k3" in params:
+        k3 = _parse_complex(params["k3"])
+    else:
+        k3 = math.sqrt(k1 * k2) - float(params["delta_k"])
+    if "omega1" in params:
+        omega1 = float(params["omega1"])
+        omega2 = float(params["omega2"])
+    else:
+        omega = float(params.get("omega", 1.0))
+        split = float(params.get("delta_omega", 0.0))
+        omega1, omega2 = omega - split, omega + split
+    spec = TruncationSpec(2, max_exc)
+    model = RateModel((k1, k2), cross_rate=k3)
+    unphysical = params.get("allow_unphysical", False)
+    gen = build_realistic_generator(model, omega1, omega2, spec, allow_unphysical=unphysical)
+    deviation = DeviationParams.from_model(model, omega1, omega2)
+    weak, strong = wd_sd_modes(k1, k2, deviation.frequency_split)
+    modes = {"collective": strong, "weak": weak, "strong": strong}
+    values = {"rates": (k1, k2, k3, omega1, omega2), "deviation": deviation}
+    return _Setup(spec, gen, theta_from_rates(k1, k2), modes, values)
+
+
+def _realistic_check(setup, rho0, angles, times, stack) -> dict:
+    rates = setup.values["rates"]
+    deviation = setup.values["deviation"]
+    # The closed forms divide by the eigenvalue splitting of the amplitude
+    # generator; at an exceptional point they are skipped, not the run.
+    try:
+        exact = realistic.eigen_rates(*rates)
+        if angles is not None:
+            sol = realistic.one_photon_evolution(*rates, *angles, times)
+            split = realistic.approximate_mode_split(
+                rates[0], rates[1], deviation.rate_gap, deviation.frequency_split, *angles
+            )
+    except ExceptionalPointError as exc:
+        return {"analytic_skipped_reason": str(exc), "eigen_rates": None, "mode_split": None}
+    out = {"eigen_rates": {"slow": exact.slow, "fast": exact.fast}}
+    if angles is not None:
+        # the closed form is survival |mode><mode| + (1 - survival) |vac><vac|
+        spec = setup.spec
+        vac = spec.index_of((0, 0))
+        one = np.array([spec.index_of((1, 0)), spec.index_of((0, 1))])
+        expected = np.zeros_like(stack)
+        expected[:, vac, vac] = 1.0 - sol.survival
+        expected[:, one[:, None], one] = sol.survival[:, None, None] * (
+            sol.modes[:, :, None] * sol.modes[:, None, :].conj()
+        )
+        out["analytic_numeric_max_deviation"] = float(np.max(np.abs(expected - stack)))
+        out["mode_split"] = split.to_json_dict()
+    return out
+
+
+def _read_coupling(data) -> tuple:
+    """(spectral density, frequency, inverse temperature, collective weights)
+    of a two-oscillator coupling JSON; raises on anything the model cannot use."""
+    coupling = CouplingModel.from_dict(data)
+    direction = list(coupling.collective_weights())
+    if len(direction) != 2 or not any(direction) or coupling.inverse_temperature == 0:
+        raise ValueError("needs two weighted oscillators and a positive inverse temperature")
+    weights = np.abs(coupling.bath_mode_couplings()) ** 2
+    sd = SpectralDensity.from_weights(coupling.bath_frequencies, weights)
+    return sd, coupling.degenerate_frequency(), coupling.inverse_temperature, direction
+
+
+def _build_nonmarkovian(params, max_exc, t_max) -> _Setup:
+    omega = float(params.get("omega", 1.0))
+    beta = params.get("beta")
+    beta = math.inf if beta is None else float(beta)
+    direction = params.get("coupling_direction")
+    if "coupling" in params:
+        sd, omega, coupling_beta, weights = _read_coupling(params["coupling"])
+        if coupling_beta != math.inf:
+            beta = coupling_beta
+        if direction is None:
+            direction = weights
+    else:
+        sd = SpectralDensity.from_dict(params["spectral_density"])
+    direction = np.asarray([1.0, 1.0] if direction is None else direction, dtype=complex)
+    grid = np.linspace(0.0, t_max, params.get("kernel_points", 10001))
+    solution = solve_kernel(
+        sd, omega, grid, beta=beta, kernel_sign=params.get("kernel_sign", "conjugate"),
+        substeps=params.get("kernel_substeps", 1),
+    )
+    spec = TruncationSpec(2, max_exc)
+    gen = build_time_dependent_generator(solution, spec, collective_direction=direction)
+    theta = float(np.arctan2(abs(direction[1]), abs(direction[0])))
+    modes = {"collective": ModeVector.from_amplitudes(direction)}
+    return _Setup(spec, gen, theta, modes, {}, solution)
+
+
+_MODELS = {
+    "markovian_n": _Model(
+        build=_build_markovian,
+        params={
+            "rates": (_rates, "a list of numbers >= 0, not all zero"),
+            "omega": _NUMBER,
+            "nbar": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+            "max_excitation": _MAX_EXCITATION,
+        },
+        predicted=lambda values: {"collective": values["total"]},
+        fits=[("collective", "collective_population", "window", "collective", 2.0, 6.0)],
+        check=_markovian_check,
+        max_excitation=3,
+        outputs=lambda spec: ["survival", "collective_population", "fidelity_to_unitary"]
+        + (["weak_population"] if spec.num_modes == 2 else []),
+    ),
+    "realistic_two": _Model(
+        build=_build_realistic,
+        params={
+            "k1": _POSITIVE,
+            "k2": _POSITIVE,
+            "k3": _COMPLEX,
+            "delta_k": _NUMBER,
+            "omega": _NUMBER,
+            "delta_omega": _NUMBER,
+            "omega1": _NUMBER,
+            "omega2": _NUMBER,
+            "allow_unphysical": (lambda v: isinstance(v, bool), "true or false"),
+            "max_excitation": _MAX_EXCITATION,
+        },
+        predicted=lambda v: asdict(
+            predicted_rates(*v["rates"][:2], v["deviation"].rate_gap)
+        ),
+        fits=[
+            ("weak", "weak_population", "window", "strong", 2.0, 6.0),
+            ("strong", "strong_population", "strong_window", "strong", 0.0, 1.0),
+            ("survival", "survival", "window", "strong", 2.0, 6.0),
+        ],
+        check=_realistic_check,
+        max_excitation=1,
+        outputs=lambda spec: ["survival", "weak_population", "strong_population",
+                              "vacuum_population"],
+    ),
+    "nonmarkovian_two": _Model(
+        build=_build_nonmarkovian,
+        params={
+            "omega": _NUMBER,
+            "beta": (lambda v: v is None or _POSITIVE[0](v), "a positive number or null"),
+            "coupling_direction": (_direction, "a list of two numbers, not both zero"),
+            "coupling": (_coupling, "a factorized coupling of two degenerate oscillators"),
+            "kernel_points": (_int_at_least(3), "an integer >= 3"),
+            "kernel_sign": (lambda v: v in KERNEL_SIGNS, f"one of {KERNEL_SIGNS}"),
+            "kernel_substeps": (_int_at_least(1), "an integer >= 1"),
+            "max_excitation": _MAX_EXCITATION,
+        },
+        predicted=lambda values: {},
+        fits=[],
+        check=None,
+        max_excitation=2,
+        outputs=lambda spec: ["survival", "collective_population"],
+    ),
+}
+
+
+# -- the pipeline -------------------------------------------------------------
+
+
+def _initial_state(init, spec, theta) -> tuple[DensityMatrix, Optional[tuple]]:
     """Build the initial state; returns (state, (alpha, phi) or None)."""
-    init = cfg["initial_state"]
     if "alpha" in init:
         alpha = float(init["alpha"])
         phi = float(init.get("phi", 0.0))
@@ -306,24 +543,18 @@ def _initial_state(cfg, spec, theta) -> tuple[DensityMatrix, Optional[tuple]]:
         if spec.num_modes == 2 and sum(occ) == 1:
             angles = (0.0, 0.0) if occ == (1, 0) else (0.5 * math.pi, 0.0)
         return state, angles
-    table = [
-        [_as_complex(entry) for entry in row] for row in init["dfs_coeffs"]
-    ]
     if theta is None:
         raise ConfigError(["dfs_coeffs initial states need a two-mode rate model"])
-    return dfs_state_builder(np.array(table), theta, spec), None
+    table = [[_parse_complex(entry) for entry in row] for row in init["dfs_coeffs"]]
+    try:
+        return dfs_state_builder(np.array(table), theta, spec), None
+    except ValueError as exc:
+        raise ConfigError([f"initial_state.dfs_coeffs: {exc}"]) from exc
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value), 0.0)
-
-
-def _observable_columns(names, states, ctx) -> dict:
+def _observable_columns(names, setup, rho0, times, states, stack) -> dict:
     columns = {}
-    spec = ctx["spec"]
-    stack = np.array([s.matrix for s in states])
+    spec = setup.spec
     populations = np.einsum("nii->ni", stack).real
     one_photon = spec.occupations().sum(axis=1) == 1
     vac_idx = spec.index_of((0,) * spec.num_modes)
@@ -340,18 +571,14 @@ def _observable_columns(names, states, ctx) -> dict:
         elif name == "purity":
             columns[name] = np.array([purity(s) for s in states])
         elif name == "fidelity_to_initial":
-            rho0 = ctx["rho0"]
             columns[name] = np.array([fidelity(rho0, s) for s in states])
         elif name == "fidelity_to_unitary":
-            columns[name] = _fidelity_to_unitary(states, ctx)
+            ham = setup.generator.hamiltonian
+            columns[name] = _fidelity_to_unitary(ham, rho0, times, stack)
         elif name == "collective_population":
-            mode = ctx.get("collective_mode")
-            if mode is None:
-                raise ConfigError(["collective_population has no mode direction here"])
-            columns[name] = mode_column(mode)
+            columns[name] = mode_column(setup.modes["collective"])
         elif name in ("weak_population", "strong_population"):
-            key = "weak_mode" if name == "weak_population" else "strong_mode"
-            mode = ctx.get(key)
+            mode = setup.modes.get(name.split("_")[0])
             if mode is None:
                 raise ConfigError([f"{name} requires a two-mode rate model"])
             columns[name] = mode_column(mode)
@@ -359,26 +586,21 @@ def _observable_columns(names, states, ctx) -> dict:
             idx = 0 if name == "mode1_population" else 1
             if spec.num_modes <= idx:
                 raise ConfigError([f"{name} needs at least {idx + 1} modes"])
-            amps = np.zeros(spec.num_modes)
-            amps[idx] = 1.0
-            columns[name] = mode_column(ModeVector(amps.astype(complex)))
+            columns[name] = mode_column(ModeVector(np.eye(spec.num_modes)[idx]))
         else:
             raise ConfigError([f"unknown observable {name!r}"])
     return columns
 
 
-def _fidelity_to_unitary(states, ctx) -> np.ndarray:
-    ham = ctx["hamiltonian"]
+def _fidelity_to_unitary(ham, rho0, times, stack) -> np.ndarray:
     if np.max(np.abs(ham - np.diag(np.diag(ham)))) > 1e-12:
         raise ConfigError(["fidelity_to_unitary needs a diagonal free Hamiltonian"])
     levels = np.real(np.diag(ham))
-    rho0 = ctx["rho0"].matrix
-    times = ctx["times"]
-    out = np.empty(len(states))
-    for i, state in enumerate(states):
+    out = np.empty(len(stack))
+    for i, state in enumerate(stack):
         phases = np.exp(-1j * levels * times[i])
-        image = (phases[:, None] * rho0) * phases.conj()[None, :]
-        out[i] = float(np.real(np.trace(state.matrix @ image)))
+        image = (phases[:, None] * rho0.matrix) * phases.conj()[None, :]
+        out[i] = float(np.real(np.trace(state @ image)))
     return out
 
 
@@ -396,264 +618,6 @@ def _fit_or_none(times, values, window) -> Optional[dict]:
     }
 
 
-# -- per-model execution ------------------------------------------------------
-
-
-def _execute_markovian(cfg) -> _Run:
-    params = cfg["params"]
-    rates = tuple(float(k) for k in params["rates"])
-    omega = float(params.get("omega", 1.0))
-    nbar = float(params.get("nbar", 0.0))
-    max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION["markovian_n"])
-    spec = TruncationSpec(len(rates), max_exc)
-    model = RateModel(rates, thermal_occupation=nbar)
-    gen = build_bm_generator(model, spec, omega=omega)
-
-    theta = None
-    weak = strong = None
-    if len(rates) == 2 and rates[0] > 0:
-        theta = theta_from_rates(rates[0], rates[1])
-        if rates[1] > 0:
-            weak, strong = wd_sd_modes(rates[0], rates[1], 0.0)
-    collective = ModeVector.from_amplitudes(np.sqrt(np.asarray(rates)))
-
-    rho0, angles = _initial_state(cfg, spec, theta)
-    tblock = cfg["time"]
-    times = np.linspace(0.0, float(tblock["t_max"]), int(tblock["steps"]))
-    run = _Run()
-    run.times = times
-    run.result = propagate(
-        gen, rho0, times, max_step=_step_override(cfg, gen)
-    )
-
-    ctx = {
-        "spec": spec,
-        "rho0": rho0,
-        "times": times,
-        "hamiltonian": gen.hamiltonian,
-        "collective_mode": collective,
-        "weak_mode": weak,
-        "strong_mode": strong,
-    }
-    names = cfg.get("outputs") or _default_outputs(cfg["model"], spec)
-    run.observables = _observable_columns(names, run.result.states, ctx)
-
-    total = model.total_rate
-    run.predicted["collective"] = total
-    window = cfg.get("fit", {}).get(
-        "window", [2.0 / total, min(6.0 / total, times[-1])]
-    ) if total > 0 else None
-    if window and "collective_population" in run.observables:
-        fit = _fit_or_none(times, run.observables["collective_population"], window)
-        if fit:
-            run.fitted["collective"] = fit
-
-    if spec.num_modes == 2 and rates[0] > 0:
-        coeff_list = [
-            markov_coefficients(rates[0], rates[1], nbar, omega, t) for t in times
-        ]
-        analytic = [apply_superoperator(c, rho0) for c in coeff_list]
-        run.analytic_states = analytic
-        run.analytic_deviation = max(
-            float(np.max(np.abs(a.matrix - b.matrix)))
-            for a, b in zip(analytic, run.result.states)
-        )
-        if angles is not None and nbar == 0.0:
-            limit = asymptotic_state(rates[0], rates[1], angles[0], angles[1])
-            measured = mode_population(analytic[-1], limit.mode)
-            run.asymptotic = {
-                "weight_predicted": limit.weight,
-                "fidelity_infinity_predicted": limit.fidelity_infinity,
-                "weight_measured": measured,
-                "fidelity_measured": fidelity(rho0, analytic[-1]),
-            }
-    return run
-
-
-def _execute_realistic(cfg) -> _Run:
-    params = cfg["params"]
-    k1 = float(params["k1"])
-    k2 = float(params["k2"])
-    if "k3" in params:
-        k3 = _as_complex(params["k3"])
-    else:
-        k3 = math.sqrt(k1 * k2) - float(params["delta_k"])
-    if "omega1" in params or "omega2" in params:
-        omega1 = float(params["omega1"])
-        omega2 = float(params["omega2"])
-    else:
-        omega = float(params.get("omega", 1.0))
-        split = float(params.get("delta_omega", 0.0))
-        omega1, omega2 = omega - split, omega + split
-    max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION["realistic_two"])
-    spec = TruncationSpec(2, max_exc)
-    model = RateModel((k1, k2), cross_rate=k3)
-    gen = build_realistic_generator(
-        model, omega1, omega2, spec,
-        allow_unphysical=bool(params.get("allow_unphysical", False)),
-    )
-
-    deviation = DeviationParams.from_model(model, omega1, omega2)
-    weak, strong = wd_sd_modes(k1, k2, deviation.frequency_split)
-    theta = theta_from_rates(k1, k2)
-    rho0, angles = _initial_state(cfg, spec, theta)
-    tblock = cfg["time"]
-    times = np.linspace(0.0, float(tblock["t_max"]), int(tblock["steps"]))
-
-    run = _Run()
-    run.times = times
-    run.result = propagate(gen, rho0, times, max_step=_step_override(cfg, gen))
-
-    ctx = {
-        "spec": spec,
-        "rho0": rho0,
-        "times": times,
-        "hamiltonian": gen.hamiltonian,
-        "collective_mode": strong,
-        "weak_mode": weak,
-        "strong_mode": strong,
-    }
-    names = cfg.get("outputs") or _default_outputs(cfg["model"], spec)
-    run.observables = _observable_columns(names, run.result.states, ctx)
-
-    pred = predicted_rates(k1, k2, deviation.rate_gap)
-    run.predicted = {"weak": pred.weak, "strong": pred.strong}
-
-    fit_cfg = cfg.get("fit", {})
-    weak_window = fit_cfg.get(
-        "window", [2.0 / pred.strong, min(6.0 / pred.strong, times[-1])]
-    )
-    strong_window = fit_cfg.get(
-        "strong_window", [0.0, min(1.0 / pred.strong, times[-1])]
-    )
-    if "weak_population" in run.observables:
-        fit = _fit_or_none(times, run.observables["weak_population"], weak_window)
-        if fit:
-            run.fitted["weak"] = fit
-    if "strong_population" in run.observables:
-        fit = _fit_or_none(times, run.observables["strong_population"], strong_window)
-        if fit:
-            run.fitted["strong"] = fit
-    if "survival" in run.observables:
-        fit = _fit_or_none(times, run.observables["survival"], weak_window)
-        if fit:
-            run.fitted["survival"] = fit
-
-    # The closed forms divide by the eigenvalue splitting of the amplitude
-    # generator; at an exceptional point they are skipped, not the run.
-    try:
-        rates_exact = realistic.eigen_rates(k1, k2, k3, omega1, omega2)
-        if angles is not None:
-            alpha, phi = angles
-            sol = realistic.one_photon_evolution(
-                k1, k2, k3, omega1, omega2, alpha, phi, times
-            )
-            mode_split = realistic.approximate_mode_split(
-                k1, k2, deviation.rate_gap, deviation.frequency_split, alpha, phi
-            )
-    except ExceptionalPointError as exc:
-        run.analytic_skipped_reason = str(exc)
-        return run
-    run.eigen = {"slow": rates_exact.slow, "fast": rates_exact.fast}
-    if angles is not None:
-        run.analytic_deviation = max(
-            float(np.max(np.abs(sol.state(i, spec).matrix - run.result.states[i].matrix)))
-            for i in range(len(times))
-        )
-        run.mode_split = mode_split.to_json_dict()
-    return run
-
-
-def _execute_nonmarkovian(cfg) -> _Run:
-    params = cfg["params"]
-    omega = float(params.get("omega", 1.0))
-    beta = params.get("beta")
-    beta = math.inf if beta is None else float(beta)
-    direction = params.get("coupling_direction")
-    if "coupling" in params:
-        coupling = CouplingModel.from_dict(params["coupling"])
-        sd = SpectralDensity.from_weights(
-            coupling.bath_frequencies,
-            np.abs(coupling.bath_mode_couplings()) ** 2,
-        )
-        omega = coupling.degenerate_frequency()
-        if coupling.inverse_temperature != math.inf:
-            beta = coupling.inverse_temperature
-        if direction is None:
-            direction = list(coupling.collective_weights())
-    else:
-        sd = SpectralDensity.from_dict(params["spectral_density"])
-    if direction is None:
-        direction = [1.0, 1.0]
-    direction = np.asarray(direction, dtype=complex)
-
-    tblock = cfg["time"]
-    t_max = float(tblock["t_max"])
-    steps = int(tblock["steps"])
-    kernel_points = int(params.get("kernel_points", 10001))
-    kernel_grid = np.linspace(0.0, t_max, kernel_points)
-    solution = solve_kernel(
-        sd,
-        omega,
-        kernel_grid,
-        beta=beta,
-        kernel_sign=params.get("kernel_sign", "conjugate"),
-        substeps=int(params.get("kernel_substeps", 1)),
-    )
-
-    max_exc = params.get("max_excitation", DEFAULT_MAX_EXCITATION["nonmarkovian_two"])
-    spec = TruncationSpec(2, max_exc)
-    gen = build_time_dependent_generator(
-        solution, spec, collective_direction=direction
-    )
-    collective = ModeVector.from_amplitudes(direction)
-    theta = float(np.arctan2(abs(direction[1]), abs(direction[0])))
-    rho0, _ = _initial_state(cfg, spec, theta)
-
-    times = np.linspace(0.0, t_max, steps)
-    run = _Run()
-    run.times = times
-    run.kernel_solution = solution
-    run.result = propagate(gen, rho0, times, max_step=_step_override(cfg, gen))
-    ctx = {
-        "spec": spec,
-        "rho0": rho0,
-        "times": times,
-        "hamiltonian": gen.hamiltonian,
-        "collective_mode": collective,
-    }
-    names = cfg.get("outputs") or _default_outputs(cfg["model"], spec)
-    run.observables = _observable_columns(names, run.result.states, ctx)
-    run.extras["kernel_final_damping"] = float(solution.damping[-1])
-    return run
-
-
-def _default_outputs(model, spec) -> list[str]:
-    if model == "markovian_n":
-        names = ["survival", "collective_population", "fidelity_to_unitary"]
-        if spec.num_modes == 2:
-            names.append("weak_population")
-        return names
-    if model == "realistic_two":
-        return ["survival", "weak_population", "strong_population", "vacuum_population"]
-    return ["survival", "collective_population"]
-
-
-def _step_override(cfg, gen) -> Optional[float]:
-    value = cfg.get("time", {}).get("max_step")
-    return float(value) if value is not None else None
-
-
-_EXECUTORS = {
-    "markovian_n": _execute_markovian,
-    "realistic_two": _execute_realistic,
-    "nonmarkovian_two": _execute_nonmarkovian,
-}
-
-
-# -- public entry points ------------------------------------------------------
-
-
 def run_scenario(cfg, out_dir: Optional[str] = None) -> dict:
     """Execute one scenario; write artifacts when ``out_dir`` is given.
 
@@ -664,62 +628,66 @@ def run_scenario(cfg, out_dir: Optional[str] = None) -> dict:
     if errors:
         raise ConfigError(errors)
     start = time.perf_counter()
-    run = _EXECUTORS[cfg["model"]](cfg)
-    report = _assemble_report(cfg, run, time.perf_counter() - start)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        series_path = os.path.join(out_dir, "timeseries.csv")
-        run.result.write_csv(series_path, run.observables)
-        report["artifacts"]["timeseries_csv"] = series_path
-        if run.kernel_solution is not None:
-            kernel_path = os.path.join(out_dir, "kernel.csv")
-            run.kernel_solution.write_csv(kernel_path)
-            report["artifacts"]["kernel_csv"] = kernel_path
-        problems = validate_report(report)
-        if problems:
-            raise ConfigError([f"report failed validation: {p}" for p in problems])
-        report_path = os.path.join(out_dir, "report.json")
-        report["artifacts"]["report_json"] = report_path
-        write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        problems = validate_report(report)
-        if problems:
-            raise ConfigError([f"report failed validation: {p}" for p in problems])
-    return report
+    model = _MODELS[cfg["model"]]
+    params, tblock = cfg["params"], cfg["time"]
+    t_max = float(tblock["t_max"])
+    setup = model.build(params, params.get("max_excitation", model.max_excitation), t_max)
+    rho0, angles = _initial_state(cfg["initial_state"], setup.spec, setup.theta)
+    times = np.linspace(0.0, t_max, tblock["steps"])
+    result = propagate(setup.generator, rho0, times, max_step=tblock.get("max_step"))
+    stack = np.array([s.matrix for s in result.states])
+    names = cfg.get("outputs") or model.outputs(setup.spec)
+    observables = _observable_columns(names, setup, rho0, times, result.states, stack)
 
+    predicted = model.predicted(setup.values)
+    fitted = {}
+    for key, name, option, rate_name, lo, hi in model.fits:
+        rate = predicted[rate_name]
+        window = cfg.get("fit", {}).get(option, [lo / rate, min(hi / rate, times[-1])])
+        fit = _fit_or_none(times, observables[name], window) if name in observables else None
+        if fit:
+            fitted[key] = fit
 
-def _assemble_report(cfg, run: _Run, elapsed: float) -> dict:
     diag = {
-        "engine": run.result.engine,
-        "sector_sizes": list(run.result.sector_sizes),
-        "max_trace_error": float(np.max(run.result.trace_errors)),
-        "min_eigenvalue": float(np.min(run.result.min_eigenvalues)),
+        "engine": result.engine,
+        "sector_sizes": list(result.sector_sizes),
+        "max_trace_error": float(np.max(result.trace_errors)),
+        "min_eigenvalue": float(np.min(result.min_eigenvalues)),
     }
-    if "fidelity_to_unitary" in run.observables:
-        diag["fidelity_to_unitary_min"] = float(
-            np.min(run.observables["fidelity_to_unitary"])
-        )
+    if "fidelity_to_unitary" in observables:
+        diag["fidelity_to_unitary_min"] = float(np.min(observables["fidelity_to_unitary"]))
     report = {
         "scenario": copy.deepcopy(cfg),
         "model": cfg["model"],
-        "fitted_rates": run.fitted,
-        "predicted_rates": run.predicted,
-        "analytic_numeric_max_deviation": run.analytic_deviation,
-        "asymptotic": run.asymptotic,
+        "fitted_rates": fitted,
+        "predicted_rates": predicted,
+        "analytic_numeric_max_deviation": None,
+        "asymptotic": None,
         "diagnostics": diag,
-        "wall_time_seconds": float(elapsed),
         "artifacts": {},
     }
-    if run.eigen is not None:
-        report["eigen_rates"] = run.eigen
-    if run.mode_split is not None:
-        report["mode_split"] = run.mode_split
-    if run.analytic_skipped_reason is not None:
-        report["analytic_skipped_reason"] = run.analytic_skipped_reason
-        report["eigen_rates"] = None
-        report["mode_split"] = None
-    if run.extras:
-        report["extras"] = run.extras
+    if model.check is not None:
+        report.update(model.check(setup, rho0, angles, times, stack))
+    if setup.kernel is not None:
+        report["extras"] = {"kernel_final_damping": float(setup.kernel.damping[-1])}
+    report["wall_time_seconds"] = float(time.perf_counter() - start)
+
+    artifacts = report["artifacts"]
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        artifacts["timeseries_csv"] = os.path.join(out_dir, "timeseries.csv")
+        result.write_csv(artifacts["timeseries_csv"], observables)
+        if setup.kernel is not None:
+            artifacts["kernel_csv"] = os.path.join(out_dir, "kernel.csv")
+            setup.kernel.write_csv(artifacts["kernel_csv"])
+    problems = validate_report(report)
+    if problems:
+        raise ConfigError([f"report failed validation: {p}" for p in problems])
+    if out_dir is not None:
+        artifacts["report_json"] = os.path.join(out_dir, "report.json")
+        write_text(
+            artifacts["report_json"], json.dumps(report, indent=2, sort_keys=True) + "\n"
+        )
     return report
 
 
@@ -755,15 +723,10 @@ def run_sweep(
 
     names = [axis["parameter"] for axis in axes]
     grids = [axis["values"] for axis in axes]
-    total = 1
-    for values in grids:
-        total *= len(values)
+    total = math.prod(len(values) for values in grids)
     if total > cap:
         raise ConfigError([f"sweep grid has {total} points, cap is {cap}"])
-
-    combos = [()]
-    for values in grids:
-        combos = [prev + (v,) for prev in combos for v in values]
+    combos = list(itertools.product(*grids))
 
     base = copy.deepcopy(cfg)
     base.pop("sweep", None)
@@ -780,11 +743,10 @@ def run_sweep(
     else:
         reports = [run_point(combo) for combo in combos]
 
-    rows = []
-    for index, (combo, report) in enumerate(zip(combos, reports)):
-        row = [index, *combo]
-        row.extend(_summary_scalars(report))
-        rows.append(row)
+    rows = [
+        [index, *combo, *_summary_scalars(report)]
+        for index, (combo, report) in enumerate(zip(combos, reports))
+    ]
     header = ["index", *names, *_SUMMARY_SCALARS]
 
     out = {

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -231,21 +229,6 @@ def test_density_matrix_immutable():
         rho.matrix = np.eye(2)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 2.0
-
-
-def test_json_round_trip_exact():
-    rng = np.random.default_rng(11)
-    spec = TruncationSpec(2, 2)
-    rho = random_density_matrix(rng, spec)
-    text = rho.to_json()
-    back = DensityMatrix.from_json(text)
-    assert np.array_equal(back.matrix, rho.matrix)
-    assert back.spec == rho.spec
-    # a second round trip is byte-identical
-    assert back.to_json() == text
-    payload = json.loads(text)
-    assert payload["dim"] == spec.dim
-    assert payload["spec"]["max_excitation_per_mode"] == 2
 
 
 def test_fock_basis_state():

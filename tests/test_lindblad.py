@@ -244,6 +244,14 @@ def test_propagate_step_guard():
         propagate(gen, rho0, np.linspace(0, 1, 5), max_step=1.0)
 
 
+@pytest.mark.parametrize("max_step", [0.0, -1.0])
+def test_propagate_rejects_nonpositive_max_step(max_step):
+    spec = TruncationSpec(1, 1)
+    gen = build_bm_generator(RateModel((1.0,)), spec, omega=5.0)
+    with pytest.raises(ValueError, match="max_step"):
+        propagate(gen, fock_state(spec, (1,)), np.linspace(0, 1, 5), max_step=max_step)
+
+
 def test_propagate_divergence_detected():
     # a negative-rate channel grows without bound and must abort cleanly
     spec = TruncationSpec(1, 1)

@@ -20,7 +20,6 @@ from dfsim.propagator import (
     apply_superoperator,
     asymptotic_state,
     coefficients_from_eta,
-    coefficients_to_csv_text,
     markov_coefficients,
 )
 from _support import random_density_matrix
@@ -247,11 +246,3 @@ def test_long_time_superoperator_matches_asymptotic_state():
     out = apply_superoperator(markov_coefficients(k1, k2, 0.0, 0.0, 40.0), rho0)
     assert trace_distance(out, limit.density_matrix(SPEC)) < 1e-8
 
-
-def test_coefficients_csv():
-    times = np.linspace(0.0, 0.5, 3)
-    coeffs = [markov_coefficients(1.0, 1.0, 0.0, 1.0, t) for t in times]
-    text = coefficients_to_csv_text(coeffs)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("time,thermal_weight,")
-    assert len(lines) == 4

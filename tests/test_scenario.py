@@ -1,9 +1,12 @@
+import copy
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsim.cli import main as cli_main
 from dfsim.errors import ConfigError
@@ -252,6 +255,10 @@ def test_cli_numeric_failure_exit_code(tmp_path):
     path = tmp_path / "too_coarse.json"
     path.write_text(json.dumps(cfg))
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
+    cfg = _realistic_base()
+    cfg["params"]["delta_k"] = 1e308  # |k3|^2 overflows in the physicality check
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 4
 
 
 def test_cli_out_dir_from_environment(tmp_path, monkeypatch, capsys):
@@ -370,6 +377,29 @@ def _spectral_density(**changes):
     return build
 
 
+def _realistic_base():
+    return {
+        "model": "realistic_two",
+        "params": {"k1": 1.0, "k2": 1.0, "delta_k": 0.01},
+        "initial_state": {"alpha": 0.3, "phi": 0.0},
+        "time": {"t_max": 1.0, "steps": 11},
+    }
+
+
+def _changed(build, dotted, value):
+    # build() with the entry at a dotted path set to value
+    def changed():
+        cfg = build()
+        *parents, last = dotted.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return cfg
+
+    return changed
+
+
 def _sweep_over_missing_key():
     cfg = base_markovian()
     cfg["sweep"] = {"parameter": "params.delta_kk", "values": [0.1, 0.2]}
@@ -399,6 +429,29 @@ def _sweep_over_missing_key():
         (_spectral_density(modes=[{"coupling": [0.3]}]), "modes[0].omega"),
         (_spectral_density(modes=5), "params.spectral_density.modes"),
         (_spectral_density(modes=[]), "params.spectral_density.modes"),
+        (_changed(base_markovian, "time.max_step", "x"), "time.max_step"),
+        (_changed(base_markovian, "time.max_step", 0), "time.max_step"),
+        (_changed(base_markovian, "time.max_step", -1.0), "time.max_step"),
+        (_changed(base_markovian, "time.t_max", True), "time.t_max"),
+        (_changed(base_markovian, "fit", 5), "fit must be an object"),
+        (_changed(base_markovian, "fit", {"window": [3, 1]}), "fit.window"),
+        (_changed(base_markovian, "params.nbar", -0.5), "params.nbar"),
+        (_changed(base_markovian, "params.nbar", "x"), "params.nbar"),
+        (_changed(base_markovian, "params.rates", [0, 0]), "params.rates"),
+        (_changed(base_markovian, "initial_state.alpha", "x"), "initial_state.alpha"),
+        (_changed(base_markovian, "initial_state.phi", "x"), "initial_state.phi"),
+        (
+            _changed(base_markovian, "initial_state", {"dfs_coeffs": "x"}),
+            "initial_state.dfs_coeffs",
+        ),
+        (_changed(_realistic_base, "params.omega1", 1.0), "params.omega1 and params.omega2"),
+        (_changed(_realistic_base, "params.delta_k", "x"), "params.delta_k"),
+        (_changed(_realistic_base, "params.allow_unphysical", "yes"), "allow_unphysical"),
+        (_kernel_param("beta", 0), "params.beta"),
+        (_kernel_param("beta", -1), "params.beta"),
+        (_kernel_param("beta", "x"), "params.beta"),
+        (_kernel_param("coupling_direction", [0, 0]), "params.coupling_direction"),
+        (_kernel_param("coupling_direction", "x"), "params.coupling_direction"),
     ],
     ids=[
         "occupations",
@@ -421,6 +474,26 @@ def _sweep_over_missing_key():
         "discrete_missing_omega",
         "discrete_modes_not_a_list",
         "discrete_no_modes",
+        "max_step_string",
+        "max_step_0",
+        "max_step_negative",
+        "t_max_true",
+        "fit_not_an_object",
+        "fit_window_reversed",
+        "nbar_negative",
+        "nbar_string",
+        "rates_all_zero",
+        "alpha_string",
+        "phi_string",
+        "dfs_coeffs_string",
+        "omega1_without_omega2",
+        "delta_k_string",
+        "allow_unphysical_string",
+        "beta_0",
+        "beta_negative",
+        "beta_string",
+        "coupling_direction_zero",
+        "coupling_direction_string",
     ],
 )
 def test_config_defects_exit_2(tmp_path, capsys, build, message):
@@ -454,3 +527,79 @@ def test_realistic_exceptional_point_runs(tmp_path, capsys):
     assert report["mode_split"] is None
     assert report["analytic_numeric_max_deviation"] is None
     assert report["diagnostics"]["max_trace_error"] < 1e-12
+
+
+_FUZZ_CONFIGS = (
+    {
+        "model": "markovian_n",
+        "params": {"rates": [1.0, 0.5], "omega": 1.0, "nbar": 0.0, "max_excitation": 2},
+        "initial_state": {"dfs_coeffs": [[0.5, 0.0], [0.0, 0.5]]},
+        "time": {"t_max": 1.0, "steps": 21},
+        "fit": {"window": [0.1, 1.0]},
+        "outputs": ["survival", "collective_population", "weak_population"],
+        "seed": 0,
+    },
+    {
+        "model": "realistic_two",
+        "params": {
+            "k1": 1.0,
+            "k2": 0.8,
+            "delta_k": 0.01,
+            "omega": 1.0,
+            "delta_omega": 0.01,
+            "allow_unphysical": False,
+            "max_excitation": 1,
+        },
+        "initial_state": {"alpha": 0.4, "phi": 0.2},
+        "time": {"t_max": 1.0, "steps": 21, "max_step": 0.005},
+        "fit": {"window": [0.1, 1.0], "strong_window": [0.0, 0.9]},
+        "seed": 0,
+    },
+    {
+        "model": "nonmarkovian_two",
+        "params": {
+            "spectral_density": {"type": "ohmic", "amplitude": 0.02, "cutoff": 5.0, "order": 8},
+            "omega": 1.0,
+            "beta": 2.0,
+            "kernel_points": 101,
+            "kernel_sign": "conjugate",
+            "kernel_substeps": 1,
+            "coupling_direction": [1.0, 1.0],
+            "max_excitation": 1,
+        },
+        "initial_state": {"occupations": [1, 0]},
+        "time": {"t_max": 1.0, "steps": 11},
+        "seed": 0,
+    },
+)
+_FUZZ_VALUES = ("x", True, -1.0, 0, 2.5, 1e308, [], [0, 0], {})
+
+
+def _entry_paths(node, prefix=()):
+    # every key and list index inside a config, parents before children
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _entry_paths(value, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_exits_with_documented_code(tmp_path_factory, data):
+    # one entry of a runnable config deleted or replaced: the run either
+    # succeeds or fails with a documented exit code, never a traceback
+    cfg = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_CONFIGS)))
+    *parents, last = data.draw(st.sampled_from(list(_entry_paths(cfg))))
+    node = cfg
+    for key in parents:
+        node = node[key]
+    action = data.draw(st.sampled_from(("delete",) + _FUZZ_VALUES))
+    if action == "delete":
+        del node[last]
+    else:
+        node[last] = copy.deepcopy(action)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["run", str(path), "--out", str(tmp / "out")]) in (0, 2, 3, 4)
