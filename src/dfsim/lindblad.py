@@ -10,29 +10,20 @@ with a Hermitian coefficient block ``gamma``.  In this convention a single
 damped mode with rate k loses population at 2k.  Everything is dense: the
 spaces this package targets stay below a few hundred dimensions.
 
-``propagate`` picks its engine from the generator.  A constant generator is
-advanced exactly when its occupied blocks fit ``EXACT_MAX_ENTRIES``.  Every
-generator built here conserves k = N_ket - N_bra, the difference of total
-excitation numbers on the two sides of rho (Buca & Prosen, New J. Phys. 14,
-073007 (2012)), so its superoperator is block diagonal over k and only the
-blocks on which rho(0) has support are needed.  A generator that does not
-conserve k is one block, the whole d^2-entry space.  Each block L_k is
-built once and advanced by whichever exact path costs fewer
-matrix-vector products:
-
-* the propagator path: one ``exp(L_k dt)`` per distinct sample interval
-  (Taylor scaling and squaring, about (degree + squarings) block matmuls),
-  then one matrix-vector product per sample.  Small blocks sampled often
-  (6 entries, 100 intervals of a two-mode one-photon run) take it;
-* the action path: the Taylor series of ``exp(L_k dt)`` applied to the
-  block's vector, s m matrix-vector products per interval and no n x n
-  exponential (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-  Large blocks sampled a few times (a one-photon input at d = 49: a
-  231-entry block, 10 intervals) take it.
-
-When the blocks hold more than ``EXACT_MAX_ENTRIES`` entries in all, the
-engine is fixed-step RK4, as it is for time-dependent generators and
-whenever the caller sets ``max_step``, ``richardson`` or ``renormalize``.
+Both engines of ``propagate`` step on the same blocks.  Every generator
+built here conserves k = N_ket - N_bra, the difference of total excitation
+numbers on the two sides of rho (Buca & Prosen, New J. Phys. 14, 073007
+(2012)), so its superoperator is block diagonal over k and only the blocks
+on which rho(0) has support are needed; a generator that does not conserve
+k is one block, the whole d^2-entry space.  A constant generator with no
+option set is advanced exactly, each block by the path that costs fewer
+matrix-vector products: ``exp(L_k dt)`` once per distinct sample interval
+(Taylor scaling and squaring) and one product per sample, or the Taylor
+series applied to the block's vector (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011)).  Time-dependent generators, and every run with
+``max_step``, ``richardson`` or ``renormalize``, take fixed-step RK4 by
+block matrix-vector products.  Dense ``apply`` is left only for generators
+whose blocks exceed ``EXACT_MAX_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -43,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import CouplingModel, RateModel, cauchy_schwarz_check
+from .coupling import RateModel, cauchy_schwarz_check
 from .errors import (
     ConvergenceError,
     DivergenceError,
@@ -85,7 +76,6 @@ class LindbladGenerator:
     coefficient_schedule: Optional[Callable[[float], tuple]] = None
     time_span: Optional[tuple] = None
     _jump_daggers: tuple = field(init=False, repr=False, default=())
-    _pair_products: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self):
         ham = np.array(self.hamiltonian, dtype=complex)
@@ -102,50 +92,47 @@ class LindbladGenerator:
             raise ValueError("coefficient block must be square over the jump list")
         gamma.setflags(write=False)
         object.__setattr__(self, "kossakowski", gamma)
-        daggers = tuple(op.conj().T for op in jumps)
-        products = tuple(
-            tuple(daggers[j] @ jumps[i] for j in range(len(jumps)))
-            for i in range(len(jumps))
-        )
-        object.__setattr__(self, "_jump_daggers", daggers)
-        object.__setattr__(self, "_pair_products", products)
+        object.__setattr__(self, "_jump_daggers", tuple(op.conj().T for op in jumps))
 
     @property
     def is_time_dependent(self) -> bool:
         return self.coefficient_schedule is not None
 
-    def coefficients(self, t: float = 0.0) -> tuple[float, np.ndarray]:
+    def coefficients(self, t=0.0) -> tuple:
+        """(shift, gamma) at time ``t``: a float and an m x m block, or for a
+        1-D array of times an (n,) array and an (n, m, m) stack."""
         if self.coefficient_schedule is None:
             return 0.0, self.kossakowski
-        if self.time_span is not None and not (
-            self.time_span[0] - 1e-12 <= t <= self.time_span[1] + 1e-12
-        ):
-            raise ValueError(
-                f"time {t} outside the generator's span {self.time_span}"
-            )
+        lo, hi = self.time_span or (-math.inf, math.inf)
+        times = np.asarray(t, dtype=float)
+        outside = times[~((lo - 1e-12 <= times) & (times <= hi + 1e-12))]
+        if outside.size:
+            raise ValueError(f"time {outside[0]} outside the span {self.time_span}")
         return self.coefficient_schedule(t)
 
-    def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Right-hand side d(rho)/dt for a raw density matrix."""
+    def _at(self, t) -> tuple:
+        """H + s(t) S and gamma(t)."""
         shift, gamma = self.coefficients(t)
-        ham = self.hamiltonian
         if shift != 0.0 and self.shift_operator is not None:
-            ham = ham + shift * self.shift_operator
-        out = -1j * (ham @ rho - rho @ ham)
-        m = len(self.jump_operators)
-        sink = None
-        for i in range(m):
-            for j in range(m):
-                g = gamma[i, j]
-                if g == 0:
-                    continue
-                out = out + (2.0 * g) * (
-                    self.jump_operators[i] @ rho @ self._jump_daggers[j]
-                )
-                piece = g * self._pair_products[i][j]
-                sink = piece if sink is None else sink + piece
-        if sink is not None:
-            out = out - (sink @ rho + rho @ sink)
+            return self.hamiltonian + shift * self.shift_operator, gamma
+        return self.hamiltonian, gamma
+
+    def _sink(self, gamma) -> tuple:
+        """The nonzero (i, j, g_ij) and S = sum_ij g_ij L_j^dag L_i."""
+        pairs = [(i, j, gamma[i, j]) for i, j in zip(*np.nonzero(gamma))]
+        sink = np.zeros((self.spec.dim, self.spec.dim), dtype=complex)
+        for i, j, g in pairs:
+            sink += g * (self._jump_daggers[j] @ self.jump_operators[i])
+        return pairs, sink
+
+    def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """Right-hand side d(rho)/dt for a raw density matrix: K rho + rho J
+        + sum_ij 2 g_ij L_i rho L_j^dag with K = -i H - S and J = i H - S."""
+        ham, gamma = self._at(t)
+        pairs, sink = self._sink(gamma)
+        out = (-1j * ham - sink) @ rho + rho @ (1j * ham - sink)
+        for i, j, g in pairs:
+            out += (2.0 * g) * (self.jump_operators[i] @ rho @ self._jump_daggers[j])
         return out
 
     def to_matrix(self, t: float = 0.0, indices=None) -> np.ndarray:
@@ -160,7 +147,10 @@ class LindbladGenerator:
         those entries is built, without forming the d^4 matrix: entry
         (s, s') of kron(A, B) is A[r, r'] B[c, c'] with (r, c) = divmod(s, d).
         """
-        shift, gamma = self.coefficients(t)
+        return self._assemble(*self._at(t), indices)
+
+    def _assemble(self, ham, gamma, indices=None) -> np.ndarray:
+        """``to_matrix`` with Hamiltonian ``ham`` and coefficients ``gamma``."""
         dim = self.spec.dim
         if indices is None:
             indices = np.arange(dim * dim)
@@ -171,18 +161,7 @@ class LindbladGenerator:
             return a[row_block] * b[col_block]
 
         eye = np.eye(dim)
-        ham = self.hamiltonian
-        if shift != 0.0 and self.shift_operator is not None:
-            ham = ham + shift * self.shift_operator
-        pairs = [
-            (i, j, gamma[i, j])
-            for i in range(len(self.jump_operators))
-            for j in range(len(self.jump_operators))
-            if gamma[i, j] != 0
-        ]
-        sink = np.zeros_like(ham)
-        for i, j, g in pairs:
-            sink += g * self._pair_products[i][j]
+        pairs, sink = self._sink(gamma)
         lio = kron(-1j * ham - sink, eye)
         lio += kron(eye, (1j * ham - sink).T)
         for i, j, g in pairs:
@@ -199,12 +178,13 @@ class LindbladGenerator:
             samples = [(0.0, self.kossakowski)]
         else:
             t0, t1 = self.time_span if self.time_span else (0.0, 1.0)
-            samples = [self.coefficients(t) for t in np.linspace(t0, t1, 33)]
+            samples = zip(*self.coefficients(np.linspace(t0, t1, 33)))
         jump_norms = [spectral(op) for op in self.jump_operators]
         shift_norm = spectral(self.shift_operator) if self.shift_operator is not None else 0.0
+        ham_norm = spectral(self.hamiltonian)
         worst = 0.0
         for shift, gamma in samples:
-            total = 2.0 * (spectral(self.hamiltonian) + abs(shift) * shift_norm)
+            total = 2.0 * (ham_norm + abs(shift) * shift_norm)
             m = len(self.jump_operators)
             for i in range(m):
                 for j in range(m):
@@ -235,44 +215,26 @@ def _free_hamiltonian(spec: TruncationSpec, frequencies) -> np.ndarray:
 
 
 def build_bm_generator(
-    model,
+    model: RateModel,
     spec: TruncationSpec,
     *,
     omega: Optional[float] = None,
     nbar: Optional[float] = None,
-    collective_rate: Optional[float] = None,
 ) -> LindbladGenerator:
-    """Born-Markov generator: free rotation plus damping of one collective mode.
-
-    With a ``RateModel`` the collective direction is sqrt(k_i), the total rate
-    is sum(k_i) and ``omega`` (the common frequency) must be supplied.  With a
-    ``CouplingModel`` the direction, frequency and thermal occupation come
-    from the model, but the Markov collective rate is not derivable from the
-    couplings alone and must be passed as ``collective_rate``.
-    """
-    if isinstance(model, RateModel):
-        if model.num_oscillators != spec.num_modes:
-            raise ValueError("rate count must match the number of modes")
-        if omega is None:
-            raise ValueError("omega is required with a RateModel")
-        weights = np.sqrt(np.asarray(model.rates, dtype=float))
-        if np.all(weights == 0):
-            raise ValueError("at least one rate must be positive")
-        total = model.total_rate
-        nbar = model.thermal_occupation if nbar is None else float(nbar)
-    elif isinstance(model, CouplingModel):
-        if len(model.frequencies) != spec.num_modes:
-            raise ValueError("oscillator count must match the number of modes")
-        weights = model.collective_weights()
-        omega = model.degenerate_frequency() if omega is None else float(omega)
-        if collective_rate is None:
-            raise ValueError(
-                "a CouplingModel does not fix the Markov rate; pass collective_rate"
-            )
-        total = float(collective_rate)
-        nbar = model.thermal_occupation(omega) if nbar is None else float(nbar)
-    else:
+    """Born-Markov generator: free rotation at the common frequency ``omega``
+    (required) plus damping of the collective mode sqrt(k_i) at the total
+    rate sum(k_i)."""
+    if not isinstance(model, RateModel):
         raise TypeError(f"unsupported model type {type(model)!r}")
+    if model.num_oscillators != spec.num_modes:
+        raise ValueError("rate count must match the number of modes")
+    if omega is None:
+        raise ValueError("omega is required with a RateModel")
+    weights = np.sqrt(np.asarray(model.rates, dtype=float))
+    if np.all(weights == 0):
+        raise ValueError("at least one rate must be positive")
+    total = model.total_rate
+    nbar = model.thermal_occupation if nbar is None else float(nbar)
     if nbar < 0:
         raise ValueError("thermal occupation must be non-negative")
     lowering = _collective_lowering(spec, weights)
@@ -336,9 +298,7 @@ def build_time_dependent_generator(
         raise ValueError("kernel solution must carry extracted rates")
     if collective_direction is None:
         if spec.num_modes != 1:
-            raise ValueError(
-                "collective_direction is required for more than one mode"
-            )
+            raise ValueError("collective_direction is required for more than one mode")
         collective_direction = [1.0]
     lowering = _collective_lowering(spec, collective_direction)
     raising = lowering.conj().T
@@ -347,17 +307,19 @@ def build_time_dependent_generator(
     times = np.asarray(sol.times, dtype=float)
     damping = np.asarray(sol.damping, dtype=float)
     shift = np.asarray(sol.frequency_shift, dtype=float)
-    if sol.injection_rate is None:
-        injection = np.zeros_like(damping)
-    else:
+    injection = np.zeros_like(damping)
+    if sol.injection_rate is not None:
         injection = np.asarray(sol.injection_rate, dtype=float)
 
-    def schedule(t: float):
-        lam = float(np.interp(t, times, damping))
-        eps = float(np.interp(t, times, injection))
-        det = float(np.interp(t, times, shift))
-        gamma = np.array([[lam + eps, 0.0], [0.0, eps]], dtype=complex)
-        return det, gamma
+    def schedule(t):
+        # a float gives (shift, gamma); an array of n times (shift[n], gamma[n])
+        lam = np.interp(t, times, damping)
+        eps = np.interp(t, times, injection)
+        gamma = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+        gamma[..., 0, 0] = lam + eps
+        gamma[..., 1, 1] = eps
+        det = np.interp(t, times, shift)
+        return (float(det), gamma) if np.ndim(t) == 0 else (det, gamma)
 
     return LindbladGenerator(
         spec,
@@ -378,8 +340,8 @@ class PropagationResult:
     """Trajectory samples plus per-sample conservation diagnostics.
 
     ``engine`` names the integrator that produced them: ``"exact"`` or
-    ``"rk4"``.  ``sector_sizes`` gives the sizes of the blocks the exact
-    engine advanced, largest first; it is empty under RK4.
+    ``"rk4"``.  ``sector_sizes`` gives the sizes of the blocks it advanced,
+    largest first; it is empty when RK4 fell back to dense ``apply``.
     """
 
     times: np.ndarray
@@ -501,30 +463,31 @@ def _charge(op: np.ndarray, number: np.ndarray) -> Optional[int]:
     return int(steps[0]) if steps.size else 0
 
 
-def _sectors(generator: LindbladGenerator, rho: np.ndarray) -> list:
+def _sectors(generator: LindbladGenerator, rho: np.ndarray, pattern=None) -> list:
     """Index groups of ``rho.reshape(-1)`` that the generator never mixes.
 
     k = N_ket - N_bra is conserved when the Hamiltonian and the shift
     operator keep the total excitation number, every jump changes it by a
-    fixed q_i, and every nonzero coefficient pairs jumps with q_i = q_j.
-    Then each k with support in ``rho`` is one group; otherwise, and for a
-    time-dependent generator, whose coefficients are not inspected, the
-    whole space is.
+    fixed q_i, and every coefficient in ``pattern`` (the (i, j) that are
+    ever nonzero) pairs jumps with q_i = q_j.  The default pattern is the
+    nonzero Kossakowski entries of a constant generator and every pair of a
+    time-dependent one.  Then each k with support in ``rho`` is one group;
+    otherwise the whole space is.
     """
+    if pattern is None:
+        pattern = generator.kossakowski != 0
+        if generator.is_time_dependent:
+            pattern = np.ones_like(pattern)
     number = generator.spec.occupations().sum(axis=1)
     charges = [_charge(op, number) for op in generator.jump_operators]
     conserves = (
-        not generator.is_time_dependent
-        and _charge(generator.hamiltonian, number) == 0
+        _charge(generator.hamiltonian, number) == 0
         and (
             generator.shift_operator is None
             or _charge(generator.shift_operator, number) == 0
         )
         and None not in charges
-        and all(
-            charges[i] == charges[j]
-            for i, j in zip(*np.nonzero(generator.kossakowski))
-        )
+        and all(charges[i] == charges[j] for i, j in zip(*np.nonzero(pattern)))
     )
     if not conserves:
         return [np.arange(rho.size)]
@@ -547,10 +510,9 @@ def _uses_action(norm: float, size: int, lengths, counts) -> bool:
     return action < powers
 
 
-def _exact_samples(generator, rho, times, sectors):
-    """Yield the state at each later sample time.  Each block is built once
-    and advanced on its entries of the row-major vectorized state by the
-    path ``_uses_action`` picks; entries outside every block stay zero."""
+def _exact_samples(blocks, rho, times):
+    """Yield the state at each later sample time, advancing each block of
+    a constant generator's ``_Blocks`` by the path ``_uses_action`` picks."""
     spans = np.diff(times)
     lengths, which = [], []  # distinct lengths; each interval's index into them
     for span in spans:
@@ -562,57 +524,129 @@ def _exact_samples(generator, rho, times, sectors):
             lengths.append(span)
         which.append(k)
     counts = np.bincount(which)
-    flat = rho.reshape(-1)
-    parts = [flat[indices] for indices in sectors]
-    blocks = [generator.to_matrix(indices=indices) for indices in sectors]
-    norms = [float(np.linalg.norm(block, 1)) for block in blocks]
-    action = [
-        _uses_action(norm, block.shape[0], lengths, counts)
-        for norm, block in zip(norms, blocks)
-    ]
-    known = [{} for _ in sectors]  # per block: length index -> propagator
+    parts = np.split(blocks.pack(rho), blocks.bounds)
+    norms = [float(np.linalg.norm(block, 1)) for block in blocks.stacks]
+    action = [_uses_action(x, len(b), lengths, counts) for x, b in zip(norms, blocks.stacks)]
+    known = [{} for _ in parts]  # per block: length index -> propagator
     for span, k in zip(spans, which):
-        vec = np.zeros_like(flat)
-        for n, indices in enumerate(sectors):
+        for n, block in enumerate(blocks.stacks):
             if action[n]:
-                parts[n] = _expm_action(blocks[n], parts[n], span, norms[n])
+                parts[n] = _expm_action(block, parts[n], span, norms[n])
             else:
                 if k not in known[n]:
-                    known[n][k] = _expm(blocks[n], lengths[k])
+                    known[n][k] = _expm(block, lengths[k])
                 parts[n] = known[n][k] @ parts[n]
-            vec[indices] = parts[n]
-        yield vec.reshape(rho.shape)
+        yield blocks.unpack(np.concatenate(parts))
 
 
-def _rk4_step(generator, rho, t, h):
-    k1 = generator.apply(rho, t)
-    k2 = generator.apply(rho + 0.5 * h * k1, t + 0.5 * h)
-    k3 = generator.apply(rho + 0.5 * h * k2, t + 0.5 * h)
-    k4 = generator.apply(rho + h * k3, t + h)
-    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _Dense:
+    """Dense ``apply`` on the d x d state, for blocks over the budget."""
+
+    sizes = ()
+    pack = unpack = staticmethod(lambda rho: rho)
+
+    def __init__(self, generator):
+        self.rhs = generator.apply
 
 
-def _rk4_samples(generator, rho, times, target, richardson, renormalize):
-    """Yield the state at each later sample time, integrating each interval
-    in equal substeps no longer than ``target``."""
-    for n in range(times.size - 1):
-        t0, t1 = times[n], times[n + 1]
-        span = t1 - t0
+class _Blocks:
+    """The generator on the k-blocks of one state; the state is their entries of
+    ``rho.reshape(-1)``, concatenated.  Each block stacks its components into a
+    c x n x n array, so a stage of L(t) = sum_c w_c(t) L_c is one batched product."""
+
+    def __init__(self, generator, sectors, parts):
+        self.dim = generator.spec.dim
+        self.index = np.concatenate(sectors)
+        self.bounds = np.cumsum([s.size for s in sectors])[:-1]
+        self.weighted = weighted = len(parts) > 1
+        blocks = [[generator._assemble(*p, s) for p in parts] for s in sectors]
+        self.stacks = [np.array(b) if weighted else b[0] for b in blocks]  # one copy at most
+        self.sizes = tuple(sorted((s.size for s in sectors), reverse=True))
+        if len(sectors) == 1:  # the common case, with the least overhead per stage
+            (stack,) = self.stacks  # the closure must not hold self: no reference cycle
+            self.rhs = lambda v, w: w @ (stack @ v) if weighted else stack @ v
+
+    def rhs(self, v, weights):
+        out = [stack @ part for stack, part in zip(self.stacks, np.split(v, self.bounds))]
+        return np.concatenate([weights @ p for p in out] if self.weighted else out)
+
+    def pack(self, rho):
+        return rho.reshape(-1)[self.index]
+
+    def unpack(self, v):
+        full = np.zeros(self.dim**2, dtype=complex)
+        full[self.index] = v
+        return full.reshape(self.dim, self.dim)
+
+
+def _system(generator, rho, steps):
+    """``_Blocks`` for ``rho`` (``_Dense`` over the budget), and ``steps``
+    with the system's stage arguments.  L(t) = sum_c w_c(t) L_c over the fixed part (H, and the
+    Kossakowski block of a constant generator), the shift commutator and one
+    dissipator per (i, j) nonzero at some stage time, with weights from one
+    schedule call over all stage times; their pattern decides the k-blocks.
+    A constant generator, like dense ``apply``, takes the stage times."""
+    parts, pattern = [(generator.hamiltonian, generator.kossakowski)], None
+    if generator.is_time_dependent:
+        steps = list(steps)
+        times = np.array([stage for _, _, stage in steps], dtype=float)
+        shifts, gammas = generator.coefficients(times.reshape(-1))
+        pattern = np.any(gammas != 0, axis=0)
+        zero = np.zeros_like(generator.kossakowski)
+        units = np.eye(zero.size).reshape(zero.shape * 2)  # units[i, j] is 1 at (i, j)
+        parts = [(generator.hamiltonian, zero)]
+        parts += [(0 * generator.hamiltonian, unit) for unit in units[pattern]]
+        columns = [np.ones_like(shifts), *gammas[:, pattern].T]
+        if generator.shift_operator is not None and np.any(shifts != 0):
+            parts.append((generator.shift_operator, zero))
+            columns.append(shifts)
+    sectors = _sectors(generator, rho, pattern)
+    if len(parts) * sum(s.size**2 for s in sectors) > EXACT_MAX_ENTRIES:
+        return _Dense(generator), steps
+    if generator.is_time_dependent:
+        weights = np.stack(columns, axis=-1).reshape(times.shape + (len(parts),))
+        steps = [(h, last, w) for (h, last, _), w in zip(steps, weights)]
+    return _Blocks(generator, sectors, parts), steps
+
+
+def _rk4_steps(times, target, richardson):
+    """Yield (h, last, stage times) per RK4 substep: each sample interval in
+    equal substeps h <= ``target``, ``last`` on its final one, and (t,
+    t + h/2, t + h) for one step of h or, with ``richardson``, for one of h
+    and two of h/2."""
+    for t, t1 in zip(times[:-1], times[1:]):
+        span = t1 - t
         substeps = max(1, int(math.ceil(span / target - 1e-12)))
         h = span / substeps
-        t = t0
-        for _ in range(substeps):
-            if richardson:
-                full = _rk4_step(generator, rho, t, h)
-                half = _rk4_step(generator, rho, t, 0.5 * h)
-                half = _rk4_step(generator, half, t + 0.5 * h, 0.5 * h)
-                rho = (16.0 * half - full) / 15.0
-            else:
-                rho = _rk4_step(generator, rho, t, h)
-            if renormalize:
-                rho = rho / np.trace(rho).real
+        for n in range(substeps):
+            steps = ((t, h), (t, 0.5 * h), (t + 0.5 * h, 0.5 * h)) if richardson else ((t, h),)
+            yield h, n == substeps - 1, tuple((s, s + 0.5 * dt, s + dt) for s, dt in steps)
             t += h
-        yield rho
+
+
+def _rk4_step(rhs, v, h, args):
+    a, b, c = args
+    k1 = rhs(v, a)
+    k2 = rhs(v + 0.5 * h * k1, b)
+    k3 = rhs(v + 0.5 * h * k2, b)
+    k4 = rhs(v + h * k3, c)
+    return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_samples(system, v, steps, richardson, renormalize):
+    """Yield the d x d state at each later sample time (``v``, ``steps`` from ``_system``)."""
+    for h, last, args in steps:
+        if richardson:
+            full = _rk4_step(system.rhs, v, h, args[0])
+            half = _rk4_step(system.rhs, v, 0.5 * h, args[1])
+            half = _rk4_step(system.rhs, half, 0.5 * h, args[2])
+            v = (16.0 * half - full) / 15.0
+        else:
+            v = _rk4_step(system.rhs, v, h, args[0])
+        if renormalize:
+            v = v / np.trace(system.unpack(v)).real
+        if last:
+            yield system.unpack(v)
 
 
 def propagate(
@@ -628,30 +662,28 @@ def propagate(
 
     Engine selection (reported as ``PropagationResult.engine``):
 
-    * ``"exact"`` when no option is set, the generator is constant and the
-      blocks it must advance hold at most ``EXACT_MAX_ENTRIES``
-      entries in all.  The blocks are the sectors of k = N_ket - N_bra on
-      which ``rho0`` has support when the generator conserves k, else the
-      whole vectorized space.  Each block L_k of n entries is built once
-      and takes the cheaper of two exact paths, counted in matrix-vector
-      products: the Taylor action (s steps of degree m per interval, with
-      ||L_k dt||_1 / s <= 2.5) when the intervals' s m add up to less than
-      (degree + squarings) n over the distinct interval lengths; otherwise
-      ``exp(L_k dt)`` once per distinct interval length (lengths equal to
-      1e-12 relative share one) and one matrix-vector product per sample.
-      Both cut the Taylor series at the same double-precision bound.
-    * ``"rk4"`` otherwise: fixed-step classical RK4.  The internal step
-      honors the stability guard h * ||L|| < 0.1 based on a spectral-norm
-      estimate; an explicit ``max_step`` that violates the guard raises
-      ``StepSizeError``.  ``richardson`` combines each step with two half
-      steps for one extra order.  Per-step trace renormalization
-      (``renormalize``) is off by default so trace drift stays visible as a
-      diagnostic.
+    * ``"exact"`` when no option is set, the generator is constant and its
+      blocks (the sectors of k = N_ket - N_bra on which ``rho0`` has
+      support, or the whole space when k is not conserved) hold at most
+      ``EXACT_MAX_ENTRIES`` entries in all.  Each block L_k of n entries is
+      built once and takes the Taylor action (s steps of degree m per
+      interval, ||L_k dt||_1 / s <= 2.5) when the intervals' s m add up to
+      less than (degree + squarings) n over the distinct interval lengths;
+      otherwise ``exp(L_k dt)`` once per distinct length (1e-12 relative)
+      and one matrix-vector product per sample.
+    * ``"rk4"`` otherwise: fixed-step classical RK4 on the same blocks, the
+      components of L(t) built once per call and weighted per stage by one
+      schedule evaluation over all stage times, whose nonzero pattern
+      decides the blocks; dense ``apply`` when they exceed the budget.  The
+      step honors h * ||L|| < 0.1 with ``norm_estimate``; an explicit
+      ``max_step`` that violates it raises ``StepSizeError``.  ``richardson``
+      adds two half steps per step; ``renormalize`` rescales the trace after
+      each step (off by default so trace drift stays visible).
 
     Both engines raise ``DivergenceError`` at the first non-finite sample and
     report the trace error and the smallest eigenvalue of the Hermitian part
     of every full d x d sample.  ``PropagationResult.sector_sizes`` lists the
-    sizes of the advanced blocks, largest first (empty under RK4).
+    sizes of the advanced blocks, largest first (empty for dense ``apply``).
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
@@ -661,31 +693,28 @@ def propagate(
     if max_step is not None and not max_step > 0:
         raise ValueError(f"max_step must be positive, got {max_step}")
     rho = np.array(rho0.matrix, dtype=complex)
-    options_set = max_step is not None or richardson or renormalize
-    sectors = []
-    if not options_set and not generator.is_time_dependent:
-        sectors = _sectors(generator, rho)
-        if sum(indices.size**2 for indices in sectors) > EXACT_MAX_ENTRIES:
-            sectors = []
-    exact = bool(sectors)
-    if exact:
-        stepper = _exact_samples(generator, rho, times, sectors)
-    else:
-        norm = generator.norm_estimate()
-        if max_step is not None:
-            if max_step * norm >= STEP_GUARD:
-                raise StepSizeError(
-                    f"step {max_step} violates h*||L|| < {STEP_GUARD} "
-                    f"(norm estimate {norm:.3e})"
-                )
-            target = max_step
-        else:
-            target = 0.8 * STEP_GUARD / norm if norm > 0 else math.inf
-        stepper = _rk4_samples(generator, rho, times, target, richardson, renormalize)
-
     stack = np.empty((times.size,) + rho.shape, dtype=complex)
     stack[0] = rho
     with np.errstate(over="ignore", invalid="ignore"):
+        options = max_step is not None or richardson or renormalize
+        constant = not (options or generator.is_time_dependent)
+        system = _system(generator, rho, ())[0] if constant else None
+        exact = isinstance(system, _Blocks)
+        if exact:
+            stepper = _exact_samples(system, rho, times)
+        else:
+            norm = generator.norm_estimate()
+            if max_step is not None:
+                if max_step * norm >= STEP_GUARD:
+                    raise StepSizeError(
+                        f"step {max_step} violates h*||L|| < {STEP_GUARD} "
+                        f"(norm estimate {norm:.3e})"
+                    )
+                target = max_step
+            else:
+                target = 0.8 * STEP_GUARD / norm if norm > 0 else math.inf
+            system, steps = _system(generator, rho, _rk4_steps(times, target, richardson))
+            stepper = _rk4_samples(system, system.pack(rho), steps, richardson, renormalize)
         for n, state in enumerate(stepper, start=1):
             if not np.all(np.isfinite(state)):
                 t1 = times[n]
@@ -702,7 +731,7 @@ def propagate(
         trace_errors=trace_errors,
         min_eigenvalues=np.linalg.eigvalsh(stack)[:, 0],
         engine="exact" if exact else "rk4",
-        sector_sizes=tuple(sorted((s.size for s in sectors), reverse=True)),
+        sector_sizes=system.sizes,
     )
 
 
@@ -726,17 +755,19 @@ def steady_state(
     norm = generator.norm_estimate()
     h = 0.8 * STEP_GUARD / norm if norm > 0 else 1.0
     rho = np.array(rho0.matrix, dtype=complex)
+    system, _ = _system(generator, rho, ())
+    v = system.pack(rho)
     t = 0.0
     while t <= t_max:
-        deriv = generator.apply(rho, t)
+        deriv = system.unpack(system.rhs(v, t))
         deriv = 0.5 * (deriv + deriv.conj().T)
         residual = float(np.sum(np.abs(np.linalg.eigvalsh(deriv))))
         if residual < tol:
-            return DensityMatrix.unchecked(rho0.spec, rho)
+            return DensityMatrix.unchecked(rho0.spec, system.unpack(v))
         for _ in range(block_steps):
-            rho = _rk4_step(generator, rho, t, h)
+            v = _rk4_step(system.rhs, v, h, (t, t + 0.5 * h, t + h))
             t += h
-        if not np.all(np.isfinite(rho)):
+        if not np.all(np.isfinite(v)):
             raise DivergenceError(f"non-finite state at t = {t}", time=t)
     raise ConvergenceError(
         f"residual {residual:.3e} still above {tol} at t = {t_max}"

@@ -39,7 +39,7 @@ from .coupling import (
     theta_from_rates,
     wd_sd_modes,
 )
-from .errors import ConfigError, ExceptionalPointError
+from .errors import ConfigError, ExceptionalPointError, UnphysicalRatesError
 from .fock import (
     DensityMatrix,
     ModeVector,
@@ -225,6 +225,7 @@ def validate_config(cfg) -> list[str]:
                 f"params.spectral_density.{problem}"
                 for problem in spectral_density_errors(params["spectral_density"])
             )
+        errors.extend(_bath_mode_errors(params))
     if entry is not None:
         max_exc = params.get("max_excitation", entry.max_excitation)
         if _is_int(max_exc) and max_exc >= 1 and "occupations" in init:
@@ -232,6 +233,26 @@ def validate_config(cfg) -> list[str]:
                 _occupation_errors(init["occupations"], _num_modes(model, params), max_exc)
             )
     return errors
+
+
+def _bath_mode_errors(params) -> list[str]:
+    """A finite temperature needs every bath mode above zero frequency: its
+    thermal occupation is 1 / (e^(beta w) - 1).  Ohmic nodes always are."""
+    try:
+        if "coupling" in params:
+            where = "coupling.bath_frequencies[{}]"
+            omegas = params["coupling"]["bath_frequencies"]
+            finite = _read_coupling(params["coupling"])[2] < math.inf
+        else:
+            where, finite = "spectral_density.modes[{}].omega", False
+            omegas = [mode["omega"] for mode in params["spectral_density"]["modes"]]
+        return [
+            f"params.{where.format(k)} must be > 0 at a finite temperature, got {w}"
+            for k, w in enumerate(omegas)
+            if (finite or params.get("beta") is not None) and not float(w) > 0
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return []  # an Ohmic density, or a bath the rules above report
 
 
 def _num_modes(model, params) -> Optional[int]:
@@ -386,6 +407,12 @@ def _build_realistic(params, max_exc, t_max) -> _Setup:
     model = RateModel((k1, k2), cross_rate=k3)
     unphysical = params.get("allow_unphysical", False)
     gen = build_realistic_generator(model, omega1, omega2, spec, allow_unphysical=unphysical)
+    gap = math.sqrt(k1 * k2) - abs(k3)
+    if gap < -1e-12:
+        raise UnphysicalRatesError(
+            f"rate gap sqrt(k1 k2) - |k3| = {gap:.3e}: allow_unphysical admits the "
+            "generator, but the weak/strong mode split needs a non-negative rate gap"
+        )
     deviation = DeviationParams.from_model(model, omega1, omega2)
     weak, strong = wd_sd_modes(k1, k2, deviation.frequency_split)
     modes = {"collective": strong, "weak": weak, "strong": strong}

@@ -765,3 +765,85 @@ def test_exact_engine_states_stay_physical(k1, k2, cross, cross_phase, split, t_
         assert state.hermiticity_defect() < 1e-12
         assert state.trace_error() < 1e-12
     assert np.min(res.min_eigenvalues) >= -1e-10
+
+
+# -- RK4 on the k-blocks -----------------------------------------------------------
+
+
+def _dense_rk4(monkeypatch, *args, **kwargs):
+    # with no budget every generator falls back to dense apply
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "EXACT_MAX_ENTRIES", 0)
+        return propagate(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        ("markovian_thermal", {}),
+        ("realistic", {}),
+        ("time_dependent", {}),
+        ("realistic", {"richardson": True}),
+        ("realistic", {"renormalize": True}),
+    ],
+)
+def test_block_rk4_matches_dense_rk4(monkeypatch, name, options):
+    gen, _ = _generators()[name]
+    rho0 = random_density_matrix(np.random.default_rng(8), gen.spec)
+    times = np.array([0.0, 0.1, 0.25, 0.3, 0.7, 1.0])
+    step = 0.5 * STEP_GUARD / gen.norm_estimate()
+    blocks = propagate(gen, rho0, times, max_step=step, **options)
+    dense = _dense_rk4(monkeypatch, gen, rho0, times, max_step=step, **options)
+    assert (blocks.engine, dense.engine, dense.sector_sizes) == ("rk4", "rk4", ())
+    # a random state occupies every k of the 81-entry space
+    assert sum(blocks.sector_sizes) == gen.spec.dim**2
+    for a, b in zip(blocks.states, dense.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-13
+
+
+def _memory_kernel_generator(spec):
+    times = np.linspace(0.0, 1.0, 21)
+    kernel = MemoryKernelSolution(
+        times=times,
+        amplitude=np.exp(-times),
+        omega=1.0,
+        damping=0.4 + 0.2 * times,
+        frequency_shift=0.1 * np.cos(times),
+        injection_rate=0.03 + 0.02 * times,
+    )
+    return build_time_dependent_generator(kernel, spec, collective_direction=[1.0, 1.0])
+
+
+def test_time_dependent_sectors_from_the_coefficient_pattern():
+    spec = TruncationSpec(2, 2)
+    gen = _memory_kernel_generator(spec)
+    rho0 = one_photon_state(ModeVector.from_angles(0.5, 0.2), spec)
+    # with every pair possible the lowering and raising jumps mix k ...
+    (whole,) = _sectors(gen, rho0.matrix)
+    assert whole.size == spec.dim**2
+    # ... but the coefficients never pair them: one k = 0 block, 1 + 4 + 9 + 4 + 1
+    _, gammas = gen.coefficients(np.linspace(0.0, 1.0, 7))
+    (block,) = _sectors(gen, rho0.matrix, np.any(gammas != 0, axis=0))
+    assert block.size == 19
+    res = propagate(gen, rho0, np.linspace(0.0, 1.0, 6))
+    assert (res.engine, res.sector_sizes) == ("rk4", (19,))
+    quadrature = _quadrature_damping(TruncationSpec(1, 3))
+    rho = fock_state(TruncationSpec(1, 3), (1,)).matrix
+    (whole,) = _sectors(quadrature, rho, quadrature.kossakowski != 0)
+    assert whole.size == 16
+
+
+def test_schedule_on_an_array_equals_scalar_calls():
+    gen = _memory_kernel_generator(TruncationSpec(2, 1))
+    times = np.array([0.0, 0.013, 0.5, 0.77, 1.0])
+    shifts, gammas = gen.coefficients(times)
+    assert shifts.shape == (5,) and gammas.shape == (5, 2, 2)
+    for t, shift, gamma in zip(times, shifts, gammas):
+        scalar_shift, scalar_gamma = gen.coefficients(t)
+        assert isinstance(scalar_shift, float)
+        assert shift == scalar_shift
+        assert np.array_equal(gamma, scalar_gamma)
+    with pytest.raises(ValueError, match="outside"):
+        gen.coefficients(np.array([0.5, 1.2]))
+    with pytest.raises(ValueError, match="outside"):
+        gen.coefficients(np.array([-0.1, 0.5]))

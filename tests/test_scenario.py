@@ -131,6 +131,21 @@ def test_realistic_unphysical_cross_rate_exit_code(tmp_path):
     assert code == 3
 
 
+def test_realistic_allow_unphysical_still_exits_3(tmp_path, capsys):
+    # the generator is admitted, but the weak/strong split needs a rate gap >= 0
+    cfg = {
+        "model": "realistic_two",
+        "params": {"k1": 1.0, "k2": 1.0, "k3": 1.2, "allow_unphysical": True},
+        "initial_state": {"alpha": 0.3, "phi": 0.0},
+        "time": {"t_max": 1.0, "steps": 11},
+    }
+    path = tmp_path / "unphysical.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["validate", str(path)]) == 0
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "non-negative rate gap" in capsys.readouterr().err
+
+
 def test_nonmarkovian_scenario_resonant_envelope(tmp_path):
     g = 0.8
     cfg = {
@@ -286,7 +301,7 @@ def test_report_names_the_engine():
     cfg = base_markovian(time={"t_max": 0.5, "steps": 6, "max_step": 1e-3})
     report = run_scenario(cfg)
     diag = report["diagnostics"]
-    assert (diag["engine"], diag["sector_sizes"]) == ("rk4", [])
+    assert (diag["engine"], diag["sector_sizes"]) == ("rk4", [44])
     bad = dict(report, diagnostics=dict(diag, sector_sizes=[0]))
     assert any("sector_sizes" in e for e in validate_report(bad))
 
@@ -400,6 +415,31 @@ def _changed(build, dotted, value):
     return changed
 
 
+def _thermal_bath_mode_below_zero():
+    cfg = _kernel_param("beta", 2.0)()
+    cfg["params"]["spectral_density"]["modes"][0]["omega"] = -1.0
+    return cfg
+
+
+def _thermal_coupling_mode_at_zero():
+    return {
+        "model": "nonmarkovian_two",
+        "params": {
+            "coupling": {
+                "frequencies": [1.0, 1.0],
+                "bath_frequencies": [1.0, 0.0],
+                "system_weights": [0.6, 0.8],
+                "bath_weights": [0.8, 0.3],
+                "inverse_temperature": 2.0,
+            },
+            "kernel_points": 101,
+            "max_excitation": 1,
+        },
+        "initial_state": {"occupations": [0, 1]},
+        "time": {"t_max": 1.0, "steps": 11},
+    }
+
+
 def _sweep_over_missing_key():
     cfg = base_markovian()
     cfg["sweep"] = {"parameter": "params.delta_kk", "values": [0.1, 0.2]}
@@ -452,6 +492,8 @@ def _sweep_over_missing_key():
         (_kernel_param("beta", "x"), "params.beta"),
         (_kernel_param("coupling_direction", [0, 0]), "params.coupling_direction"),
         (_kernel_param("coupling_direction", "x"), "params.coupling_direction"),
+        (_thermal_bath_mode_below_zero, "params.spectral_density.modes[0].omega"),
+        (_thermal_coupling_mode_at_zero, "params.coupling.bath_frequencies[1]"),
     ],
     ids=[
         "occupations",
@@ -494,6 +536,8 @@ def _sweep_over_missing_key():
         "beta_string",
         "coupling_direction_zero",
         "coupling_direction_string",
+        "thermal_bath_mode_below_zero",
+        "thermal_coupling_mode_at_zero",
     ],
 )
 def test_config_defects_exit_2(tmp_path, capsys, build, message):
