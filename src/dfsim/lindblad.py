@@ -580,11 +580,11 @@ class _Blocks:
 
 
 def _system(generator, rho, steps):
-    """``_Blocks`` for ``rho`` (``_Dense`` over the budget), and ``steps``
-    with the system's stage arguments.  L(t) = sum_c w_c(t) L_c over the fixed part (H, and the
-    Kossakowski block of a constant generator), the shift commutator and one
-    dissipator per (i, j) nonzero at some stage time, with weights from one
-    schedule call over all stage times; their pattern decides the k-blocks.
+    """``_Blocks`` for ``rho`` (``_Dense`` over the budget), and ``steps`` with
+    the system's stage arguments.  L(t) = sum_c w_c(t) L_c over the fixed part
+    (H, and the Kossakowski block of a constant generator), the shift commutator
+    and one dissipator per (i, j) nonzero at some stage time, weighted by one
+    schedule call over all stage times, whose pattern decides the k-blocks.
     A constant generator, like dense ``apply``, takes the stage times."""
     parts, pattern = [(generator.hamiltonian, generator.kossakowski)], None
     if generator.is_time_dependent:
@@ -605,7 +605,7 @@ def _system(generator, rho, steps):
         return _Dense(generator), steps
     if generator.is_time_dependent:
         weights = np.stack(columns, axis=-1).reshape(times.shape + (len(parts),))
-        steps = [(h, last, w) for (h, last, _), w in zip(steps, weights)]
+        steps = ((h, last, w) for (h, last, _), w in zip(steps, weights))
     return _Blocks(generator, sectors, parts), steps
 
 
